@@ -33,10 +33,10 @@ from .configuration import (
     IntensityModel,
     sample_batch,
 )
-from .diagnostics import EstimatorReport
+from .diagnostics import EstimatorReport, _mean_report, _paired_report
 from .functionals import Functional, with_fd_derivative
 from .lent_particle import GammaSpec
-from .rng import substream
+from .rng import chunk_ranges, substream
 
 __all__ = [
     "MarkFunction",
@@ -47,6 +47,7 @@ __all__ = [
     "multiple_integral",
     "multiple_integral_equal",
     "multiple_integral_functional",
+    "multiple_integral_batch",
     "ExpSeriesResult",
     "exp_series_check",
     "orthogonality_mc",
@@ -143,6 +144,17 @@ def factorial_measure(cfg: Configuration, u: Callable[[np.ndarray], np.ndarray],
     return math.factorial(k) * float(elementary_symmetric(vals, k)[k])
 
 
+def _i_n_from_e(e: np.ndarray, nu_u: float, n: int) -> np.ndarray:
+    """I_n of the equal kernel from e_0..e_n over the last axis.
+
+    The binomial inclusion-exclusion sum_k C(n, k) (-nu(u))^(n-k) k! e_k.
+    """
+    out = np.zeros(e.shape[:-1])
+    for k in range(0, n + 1):
+        out += math.comb(n, k) * (-nu_u) ** (n - k) * math.factorial(k) * e[..., k]
+    return out
+
+
 def _nu_values(model: IntensityModel, factors: Sequence[MarkFunction]) -> np.ndarray:
     return np.array([model.nu_integrate(f) for f in factors])
 
@@ -160,12 +172,7 @@ def multiple_integral_equal(
     if nu_u is None:
         nu_u = model.nu_integrate(u)
     vals = u(cfg.marks) if cfg.n_atoms else np.zeros(0)
-    e = elementary_symmetric(vals, min(n, vals.size))
-    out = 0.0
-    for k in range(0, n + 1):
-        nk = math.factorial(k) * (e[k] if k < e.size else 0.0)
-        out += math.comb(n, k) * (-nu_u) ** (n - k) * nk
-    return float(out)
+    return float(_i_n_from_e(elementary_symmetric(vals, n), nu_u, n))
 
 
 def multiple_integral(
@@ -263,14 +270,10 @@ def exp_series_check(
     nu_abs = model.nu_integrate(lambda xs: np.abs(u(xs)))
     vals = u(cfg.marks) if cfg.n_atoms else np.zeros(0)
     lhs = float(np.prod(1.0 + t * vals)) * math.exp(-t * nu_u)
-    e = elementary_symmetric(vals, min(n_max, vals.size))
+    e = elementary_symmetric(vals, n_max)
     rhs = 0.0
     for n in range(0, n_max + 1):
-        i_n = 0.0
-        for k in range(0, n + 1):
-            ek = e[k] if k < e.size else 0.0
-            i_n += math.comb(n, k) * (-nu_u) ** (n - k) * math.factorial(k) * ek
-        rhs += t**n / math.factorial(n) * i_n
+        rhs += t**n / math.factorial(n) * float(_i_n_from_e(e, nu_u, n))
     scale = radius ** (n_max + 1) * math.exp(abs(t) * nu_abs)
     return ExpSeriesResult(residual=abs(lhs - rhs), tail_scale=scale, n_max=n_max)
 
@@ -311,17 +314,6 @@ def product_formula_check(
 # vectorized sampling of chaos statistics
 # ---------------------------------------------------------------------------
 
-def _power_sums(batch: BatchedConfigurations, vals: np.ndarray, kmax: int) -> np.ndarray:
-    """Per-sample power sums p_1..p_kmax, shape (nsamples, kmax)."""
-    out = np.empty((batch.nsamples, kmax))
-    idx = batch.sample_index
-    pk = np.ones_like(vals)
-    for k in range(1, kmax + 1):
-        pk = pk * vals
-        out[:, k - 1] = np.bincount(idx, weights=pk, minlength=batch.nsamples)
-    return out
-
-
 def _e_from_power_sums(p: np.ndarray, kmax: int) -> np.ndarray:
     """Newton identities: e_0..e_kmax from power sums, vectorized over rows."""
     e = np.zeros(p.shape[:-1] + (kmax + 1,))
@@ -334,11 +326,24 @@ def _e_from_power_sums(p: np.ndarray, kmax: int) -> np.ndarray:
     return e
 
 
-def _i_n_from_e(e: np.ndarray, nu_u: float, n: int) -> np.ndarray:
-    out = np.zeros(e.shape[:-1])
-    for k in range(0, n + 1):
-        out += math.comb(n, k) * (-nu_u) ** (n - k) * math.factorial(k) * e[..., k]
-    return out
+def _grouped_i_n(index: np.ndarray, vals: np.ndarray, size: int, nu_u: float, n: int) -> np.ndarray:
+    """I_n of the equal kernel per group of atoms, shape (size,).
+
+    index[a] is the group of the atom with kernel value vals[a]; per-group
+    power sums go through the Newton identities to e_k and then to I_n.
+    """
+    p = np.empty((size, n))
+    pk = np.ones_like(vals)
+    for k in range(1, n + 1):
+        pk = pk * vals
+        p[:, k - 1] = np.bincount(index, weights=pk, minlength=size)
+    return _i_n_from_e(_e_from_power_sums(p, n), nu_u, n)
+
+
+def multiple_integral_batch(batch: BatchedConfigurations, u: MarkFunction, nu_u: float, n: int) -> np.ndarray:
+    """I_n(u tensor n) on every configuration of the batch, shape (nsamples,); nu_u = nu(u)."""
+    vals = u(batch.marks) if batch.times.size else np.zeros(0)
+    return _grouped_i_n(batch.sample_index, vals, batch.nsamples, nu_u, n)
 
 
 def orthogonality_mc(
@@ -354,24 +359,12 @@ def orthogonality_mc(
     if max(mdeg, ndeg) > MAX_DEGREE:
         raise ChaosError(f"degrees must be <= {MAX_DEGREE}")
     batch = sample_batch(model, nsamples, seed)
-    uv = u(batch.marks) if batch.times.size else np.zeros(0)
-    vv = v(batch.marks) if batch.times.size else np.zeros(0)
     nu_u = model.nu_integrate(u)
     nu_v = model.nu_integrate(v)
-    e_u = _e_from_power_sums(_power_sums(batch, uv, mdeg), mdeg)
-    e_v = _e_from_power_sums(_power_sums(batch, vv, ndeg), ndeg)
-    i_m = _i_n_from_e(e_u, nu_u, mdeg)
-    i_n = _i_n_from_e(e_v, nu_v, ndeg)
-    prod = i_m * i_n
+    prod = multiple_integral_batch(batch, u, nu_u, mdeg) * multiple_integral_batch(batch, v, nu_v, ndeg)
     inner = model.nu_integrate(lambda xs: u(xs) * v(xs))
     ref = math.factorial(ndeg) * inner**ndeg if mdeg == ndeg else 0.0
-    return EstimatorReport(
-        name=f"orthogonality[m={mdeg},n={ndeg}]",
-        estimate=float(prod.mean()),
-        reference=float(ref),
-        standard_error=float(prod.std(ddof=1) / math.sqrt(nsamples)),
-        nsamples=nsamples,
-    )
+    return _mean_report(f"orthogonality[m={mdeg},n={ndeg}]", prod, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +394,11 @@ def _reduced_integrals(vals: np.ndarray, full: np.ndarray, order: int) -> np.nda
     return out
 
 
-def _full_integrals(cfg: Configuration, model: IntensityModel, u: MarkFunction, order: int, nu_u: float) -> tuple[np.ndarray, np.ndarray]:
+def _full_integrals(cfg: Configuration, u: MarkFunction, order: int, nu_u: float) -> tuple[np.ndarray, np.ndarray]:
+    """u at the atoms and I_0..I_order of u's equal kernels on the full configuration."""
     vals = u(cfg.marks) if cfg.n_atoms else np.zeros(0)
-    e = elementary_symmetric(vals, min(order, vals.size))
-    full = np.empty(order + 1)
-    for n in range(order + 1):
-        acc = 0.0
-        for k in range(0, n + 1):
-            ek = e[k] if k < e.size else 0.0
-            acc += math.comb(n, k) * (-nu_u) ** (n - k) * math.factorial(k) * ek
-        full[n] = acc
-    return vals, full
+    e = elementary_symmetric(vals, order)
+    return vals, np.array([_i_n_from_e(e, nu_u, n) for n in range(order + 1)])
 
 
 def chaos_gamma_closed(
@@ -443,8 +430,8 @@ def chaos_gamma_closed(
         return 0.0
     nu_u = model.nu_integrate(u)
     nu_v = model.nu_integrate(v)
-    uvals, ufull = _full_integrals(cfg, model, u, i - 1, nu_u)
-    vvals, vfull = _full_integrals(cfg, model, v, j - 1, nu_v)
+    uvals, ufull = _full_integrals(cfg, u, i - 1, nu_u)
+    vvals, vfull = _full_integrals(cfg, v, j - 1, nu_v)
     iu = _reduced_integrals(uvals, ufull, i - 1)[:, i - 1]
     iv = _reduced_integrals(vvals, vfull, j - 1)[:, j - 1]
     gam = _gamma_uv(spec, u, v, cfg.marks)
@@ -471,8 +458,8 @@ def chaos_gamma_alternating(
         return 0.0
     nu_u = model.nu_integrate(u)
     nu_v = model.nu_integrate(v)
-    uvals, ufull = _full_integrals(cfg, model, u, i - 1, nu_u)
-    vvals, vfull = _full_integrals(cfg, model, v, j - 1, nu_v)
+    uvals, ufull = _full_integrals(cfg, u, i - 1, nu_u)
+    vvals, vfull = _full_integrals(cfg, v, j - 1, nu_v)
 
     def s_poly(vals: np.ndarray, full: np.ndarray, deg: int) -> np.ndarray:
         acc = np.zeros(vals.size)
@@ -533,13 +520,7 @@ def pt_symmetry_check(
     marks = sg.model.sample_marks(rng, nsamples)
     ptu, ptv = pt_apply(sg, u, t), pt_apply(sg, v, t)
     diff = u(marks) * ptv(marks) - v(marks) * ptu(marks)
-    return EstimatorReport(
-        name=f"pt_symmetry[t={t:g}]",
-        estimate=float(diff.mean()),
-        reference=0.0,
-        standard_error=float(diff.std(ddof=1) / math.sqrt(nsamples)),
-        nsamples=nsamples,
-    )
+    return _mean_report(f"pt_symmetry[t={t:g}]", diff, 0.0)
 
 
 def mehler_apply(
@@ -577,11 +558,6 @@ def mehler_apply(
     return float(vals.mean()), se
 
 
-def _chunked(n: int, block: int):
-    for lo in range(0, n, block):
-        yield lo, min(lo + block, n)
-
-
 def mehler_exponential_check(
     sg: ResamplingSemigroup,
     g: MarkFunction,
@@ -601,8 +577,8 @@ def mehler_exponential_check(
     ptg = pt_apply(sg, g, t)
     lhs = np.empty(nsamples)
     rhs = np.empty(nsamples)
-    for blk, (lo, hi) in enumerate(_chunked(nsamples, block)):
-        batch = sample_batch(model, hi - lo, seed=_derived(seed, 101, blk))
+    for blk, (lo, hi) in enumerate(chunk_ranges(nsamples, block)):
+        batch = sample_batch(model, hi - lo, seed, 101, blk)
         rng = substream(seed, 202, blk)
         total = batch.times.size
         gv = g(batch.marks) if total else np.zeros(0)
@@ -625,14 +601,7 @@ def mehler_exponential_check(
             lhs[lo:hi] = np.exp(per_rep).mean(axis=0)
         else:
             lhs[lo:hi] = 1.0
-    diff = lhs - rhs
-    return EstimatorReport(
-        name=f"mehler_exponential[t={t:g}]",
-        estimate=float(lhs.mean()),
-        reference=float(rhs.mean()),
-        standard_error=float(diff.std(ddof=1) / math.sqrt(nsamples)),
-        nsamples=nsamples,
-    )
+    return _paired_report(f"mehler_exponential[t={t:g}]", lhs, rhs)
 
 
 def second_quantization_check(
@@ -659,43 +628,24 @@ def second_quantization_check(
     ptu = pt_apply(sg, u, t)
     nu_ptu = model.nu_integrate(ptu)
     diffs = np.empty(nsamples)
-    for blk, (lo, hi) in enumerate(_chunked(nsamples, block)):
+    for blk, (lo, hi) in enumerate(chunk_ranges(nsamples, block)):
         m = hi - lo
-        batch = sample_batch(model, m, seed=_derived(seed, 303, blk))
+        batch = sample_batch(model, m, seed, 303, blk)
         rng = substream(seed, 404, blk)
         total = batch.times.size
         # reference side on the unmoved configurations
-        pv = ptu(batch.marks) if total else np.zeros(0)
-        e_ref = _e_from_power_sums(_power_sums(batch, pv, n), n)
-        ref = _i_n_from_e(e_ref, nu_ptu, n)
+        ref = multiple_integral_batch(batch, ptu, nu_ptu, n)
         if total:
             keep = rng.random((total, n_inner)) < q
             res = sg.resample(rng, total * n_inner).reshape(total, n_inner, -1)
             ures = u(res.reshape(-1, model.dim)).reshape(total, n_inner)
             uv = u(batch.marks)
             moved = np.where(keep, uv[:, None], ures)
-            # power sums per (sample, rep)
+            # one group per (sample, rep)
             flat_idx = (batch.sample_index[:, None] * n_inner + np.arange(n_inner)[None, :]).ravel()
-            p = np.empty((m * n_inner, n))
-            pk = np.ones(total * n_inner)
-            mv = moved.ravel()
-            for k in range(1, n + 1):
-                pk = pk * mv
-                p[:, k - 1] = np.bincount(flat_idx, weights=pk, minlength=m * n_inner)
-            e_in = _e_from_power_sums(p, n)
-            i_in = _i_n_from_e(e_in, nu_u, n).reshape(m, n_inner)
-            inner_mean = i_in.mean(axis=1)
+            i_in = _grouped_i_n(flat_idx, moved.ravel(), m * n_inner, nu_u, n)
+            inner_mean = i_in.reshape(m, n_inner).mean(axis=1)
         else:
             inner_mean = np.full(m, (-nu_u) ** n)
         diffs[lo:hi] = inner_mean - ref
-    return EstimatorReport(
-        name=f"second_quantization[n={n},t={t:g}]",
-        estimate=float(diffs.mean()),
-        reference=0.0,
-        standard_error=float(diffs.std(ddof=1) / math.sqrt(nsamples)),
-        nsamples=nsamples,
-    )
-
-
-def _derived(seed: int, tag: int, blk: int) -> int:
-    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=(tag, blk)).generate_state(1)[0])
+    return _mean_report(f"second_quantization[n={n},t={t:g}]", diffs, 0.0)

@@ -5,14 +5,15 @@ Configs are a single nested key-value text file: sections in brackets,
 as decimals with exponent.  Subcommands:
 
     run <config>    execute the configured experiment (exit 0 iff all pass
-                    rules hold, 2 on config errors, 3 on registry misses)
+                    rules hold, 2 on config errors and invalid model,
+                    functional or domain values, 3 on registry misses)
     list <registry> print one of models | functionals | gammas | experiments
     fixtures        write the pinned example configurations to --out-dir
 
 Artifacts (CSV and JSON) carry a provenance header (config hash, seed,
 version) and are byte-identical for identical (config, seed) at any
-worker count: parallel paths use fixed chunking with per-chunk streams and
-merge in chunk order.
+worker count: survey row i is drawn from the stream (seed, i) whichever
+worker computes it, and rows merge in index order.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .chaos import (
+    ChaosError,
     MarkFunction,
     chaos_gamma_closed,
     exp_series_check,
@@ -35,19 +37,26 @@ from .chaos import (
     orthogonality_mc,
     product_formula_check,
 )
-from .configuration import Configuration, sample_configuration, write_configuration
-from .diagnostics import dyadic_modulus_limit, ecf, ecf_reference_linear, kde
-from .diagnostics import laplace_check
-from .functionals import FUNCTIONAL_BUILDERS, build_functional, make_path_eval, stack_functionals
+from .configuration import (
+    Configuration,
+    ConfigurationError,
+    InvalidModelError,
+    sample_configuration,
+    write_configuration,
+)
+from .diagnostics import ecf, kde, laplace_check, rajchman_demo
+from .functionals import FUNCTIONAL_BUILDERS, FunctionalError, build_functional, stack_functionals
 from .intensities import MODEL_FAMILIES, build_model, dyadic_model
 from .lent_particle import (
     GAMMA_BUILDERS,
+    EngineError,
+    SurveyResult,
     build_gamma,
     carre_du_champ,
-    det_positivity_survey,
     diag_squares_gamma,
+    survey_row,
 )
-from .rng import parallel_map
+from .rng import chunk_ranges, parallel_map
 from .suite import standard_suite, suite_pass_fraction
 
 EXPERIMENTS = ("gamma", "survey", "identity", "chaos", "density", "rajchman")
@@ -56,6 +65,12 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_REGISTRY = 3
+
+#: invalid model, configuration, functional or domain values: exit 2
+DOMAIN_ERRORS = (InvalidModelError, ConfigurationError, FunctionalError, EngineError, ChaosError)
+
+#: survey configurations per worker task; rows are keyed by global index
+SURVEY_CHUNK = 250
 
 
 class ConfigParseError(Exception):
@@ -165,12 +180,30 @@ EXPERIMENT_KEYS = {
 }
 
 
+_INT_KEYS = {"seed", "nsamples", "nconfigs", "ngamma", "k_max"}
+_FLOAT_KEYS = {
+    "tolerance", "min_frequency", "scale", "min_pass_fraction",
+    "series_tol", "product_tol", "gamma_tol", "u_max",
+}
+
+
 def _reject_unknown(section: dict, allowed: set[str], name: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigParseError(
             f"unknown keys in [{name}]: {sorted(unknown)} (allowed: {sorted(allowed)})", 0, 0
         )
+
+
+def _coerce_numbers(exp: dict) -> None:
+    """Cast the numeric [experiment] keys in place; a non-numeric value is a config error."""
+    for key in exp.keys() & (_INT_KEYS | _FLOAT_KEYS):
+        cast = int if key in _INT_KEYS else float
+        try:
+            exp[key] = cast(exp[key])
+        except (TypeError, ValueError):
+            kind = "an integer" if cast is int else "a number"
+            raise ConfigParseError(f"[experiment] {key} = {exp[key]!r} is not {kind}", 0, 0) from None
 
 
 # ---------------------------------------------------------------------------
@@ -315,54 +348,41 @@ def _run_gamma(cfg, model, functional, gamma, exp, prov, out_dir):
 
 
 def _survey_chunk(args):
-    config_text, lo, hi, functional_label = args
+    # workers rebuild the model and functional from the config text: closures do not pickle
+    config_text, functional_label, seed, tol, lo, hi = args
     cfg = parse_config(config_text)
     if functional_label is not None:
         cfg.setdefault("functional", {})["label"] = functional_label
     model, functional, gamma = _build_from_sections(cfg)
-    exp = cfg["experiment"]
-    res = det_positivity_survey(
-        functional,
-        model,
-        gamma,
-        nsamples=hi - lo,
-        seed=int(exp["seed"]) + lo,
-        tol=float(exp.get("tolerance", 1e-12)),
-    )
-    return [(lo + r[0],) + r[1:] for r in res.rows]
+    return [survey_row(functional, model, gamma, seed, i, tol) for i in range(lo, hi)]
 
 
 def _run_survey(cfg, config_text, model, functional, gamma, exp, prov, out_dir, jobs, label=None):
     if functional is None or gamma is None:
         raise ConfigParseError("kind=survey needs [functional] and [gamma] sections", 0, 0)
-    nsamples = int(exp.get("nsamples", 1000))
-    chunk = 250
-    ranges = [
-        (config_text, lo, min(lo + chunk, nsamples), label) for lo in range(0, nsamples, chunk)
-    ]
-    rows = [row for part in parallel_map(_survey_chunk, ranges, jobs) for row in part]
     tol = float(exp.get("tolerance", 1e-12))
-    m = functional.out_dim
-    hits = sum(
-        1
-        for r in rows
-        if (r[2] > 0.0 if r[3] <= 0.0 else r[2] > tol * (r[3] / m) ** m)
+    tasks = [
+        (config_text, label, exp["seed"], tol, lo, hi)
+        for lo, hi in chunk_ranges(int(exp.get("nsamples", 1000)), SURVEY_CHUNK)
+    ]
+    rows = [row for part in parallel_map(_survey_chunk, tasks, jobs) for row in part]
+    result = SurveyResult(
+        functional=functional.label, out_dim=functional.out_dim, tol=tol, rows=tuple(rows)
     )
-    freq = hits / nsamples
-    body = "seed,n_atoms,det,trace,min_eig,simplified_criterion_fraction\n" + "".join(
-        f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g},{r[4]:.17g},{r[5]:.17g}\n" for r in rows
-    )
-    _write_csv(os.path.join(out_dir, exp.get("out", "survey.csv")), body, prov)
+    _write_csv(os.path.join(out_dir, exp.get("out", "survey.csv")), result.to_csv(), prov)
     threshold = float(exp.get("min_frequency", 0.0))
-    passed = freq >= threshold
-    print(f"det-positivity frequency: {freq:.6f} over {nsamples} samples (threshold {threshold:g})")
+    passed = result.frequency >= threshold
+    print(
+        f"det-positivity frequency: {result.frequency:.6f} over {result.nsamples} samples "
+        f"(threshold {threshold:g})"
+    )
     _write_json(
         os.path.join(out_dir, exp.get("summary_out", "survey.json")),
         {
             "provenance": prov,
             "functional": functional.label,
-            "frequency": freq,
-            "nsamples": nsamples,
+            "frequency": result.frequency,
+            "nsamples": result.nsamples,
             "pass": passed,
         },
     )
@@ -487,28 +507,23 @@ def _run_density(cfg, model, functional, exp, prov, out_dir):
 def _run_rajchman(cfg, model, exp, prov, out_dir):
     if model.family != "atomic-dyadic":
         model = dyadic_model(horizon=model.horizon)
-    k_max = int(exp.get("k_max", 8))
-    u = np.array([2.0**k * math.pi for k in range(k_max + 1)])
-    closed = ecf_reference_linear(model, u)
-    limit = dyadic_modulus_limit()
+    demo = rajchman_demo(
+        model, int(exp.get("k_max", 8)), int(exp.get("nsamples", 0)), int(exp["seed"])
+    )
+    closed, limit = np.array(demo["closed_modulus"]), demo["limit"]
     tol = float(exp.get("tolerance", 2e-3))
     passed = bool(np.all(np.abs(closed - limit) <= tol))
     body = "k,u,closed_modulus\n" + "".join(
-        f"{k},{u[k]:.17g},{closed[k]:.17g}\n" for k in range(k_max + 1)
+        f"{k},{2.0**k * math.pi:.17g},{c:.17g}\n" for k, c in zip(demo["u_exponents"], closed)
     )
     _write_csv(os.path.join(out_dir, exp.get("out", "rajchman.csv")), body, prov)
     print(f"constant modulus {limit:.6f}; max deviation {np.abs(closed - limit).max():.2e}")
-    nsamples = int(exp.get("nsamples", 0))
-    mc = None
-    if nsamples:
-        F = make_path_eval(model, model.horizon)
-        mc = ecf(F, model, nsamples, u, seed=int(exp["seed"])).modulus.tolist()
     _write_json(
         os.path.join(out_dir, exp.get("summary_out", "rajchman.json")),
         {
             "provenance": prov,
-            "closed_modulus": closed.tolist(),
-            "mc_modulus": mc,
+            "closed_modulus": demo["closed_modulus"],
+            "mc_modulus": demo.get("mc_modulus"),
             "limit": limit,
             "pass": passed,
         },
@@ -538,6 +553,9 @@ def cmd_run(args) -> int:
         if args.seed is not None:
             exp["seed"] = args.seed
         exp.setdefault("seed", 0)
+        _coerce_numbers(exp)
+        if exp["seed"] < 0:
+            raise ConfigParseError(f"seed must be >= 0, got {exp['seed']}", 0, 0)
         if args.functional is not None:
             cfg.setdefault("functional", {})["label"] = args.functional
         model, functional, gamma = _build_from_sections(cfg)
@@ -568,6 +586,10 @@ def cmd_run(args) -> int:
     except KeyError as exc:
         print(f"registry miss: {exc}", file=sys.stderr)
         return EXIT_REGISTRY
+    except DOMAIN_ERRORS as exc:
+        message = " ".join(str(exc).split())
+        print(f"invalid value ({type(exc).__name__}): {message}", file=sys.stderr)
+        return EXIT_CONFIG
     print("RESULT: " + ("PASS" if ok else "FAIL"))
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -29,7 +29,6 @@ __all__ = [
     "ConfigurationError",
     "InvalidModelError",
     "sample_configuration",
-    "sample_configuration_from",
     "sample_batch",
     "BatchedConfigurations",
     "add_particle",
@@ -192,10 +191,10 @@ class MarkedConfiguration:
 class IntensityModel:
     """A finite-activity jump intensity dt x sigma on [0, T] x R^d.
 
-    sigma is the truncated jump measure (small jumps below `epsilon`
-    removed), with total mass `rate`, a normalized sampler, a deterministic
-    quadrature `sigma_integrate`, and the first-moment vector `mean` used as
-    the compensator density.  `sigma_integrate(f)` integrates a vectorized
+    sigma is the truncated jump measure (small jumps removed), with total
+    mass `rate`, a normalized sampler, a deterministic quadrature
+    `sigma_integrate`, and the first-moment vector `mean` used as the
+    compensator density.  `sigma_integrate(f)` integrates a vectorized
     mark function f((k, d) array) -> (k,) against sigma.
     """
 
@@ -203,7 +202,6 @@ class IntensityModel:
     family: str
     horizon: float
     dim: int
-    epsilon: float
     rate: float
     jump_sampler: Callable[[np.random.Generator, int], np.ndarray]
     sigma_integrate: Callable[[Callable[[np.ndarray], np.ndarray]], float]
@@ -217,8 +215,6 @@ class IntensityModel:
             raise InvalidModelError(f"rate must be finite and positive, got {self.rate}")
         if self.dim < 1:
             raise InvalidModelError("mark dimension must be >= 1")
-        if self.epsilon < 0.0:
-            raise InvalidModelError("truncation level must be >= 0")
         object.__setattr__(self, "mean", _readonly(np.atleast_1d(self.mean)))
         if self.mean.shape != (self.dim,):
             raise InvalidModelError("compensator mean must have shape (dim,)")
@@ -242,15 +238,12 @@ class IntensityModel:
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_configuration(model: IntensityModel, seed: int) -> Configuration:
-    """Draw one configuration: Poisson(rate*T) atoms, uniform times, sigma marks."""
-    return sample_configuration_from(model, substream(seed))
+def sample_configuration(model: IntensityModel, seed: int, *path: int) -> Configuration:
+    """Draw one configuration from the stream (seed, *path).
 
-
-def sample_configuration_from(model: IntensityModel, rng: np.random.Generator) -> Configuration:
-    """Like sample_configuration but drawing from an explicit stream."""
-    if not (model.rate > 0.0 and model.horizon > 0.0):
-        raise InvalidModelError("model with nonpositive rate or horizon")
+    Poisson(rate*T) atoms, uniform times, sigma marks.
+    """
+    rng = substream(seed, *path)
     n = int(rng.poisson(model.rate * model.horizon))
     times = np.sort(rng.uniform(0.0, model.horizon, size=n))
     while n > 1 and np.any(np.diff(times) <= 0.0):  # ties have probability ~0
@@ -295,9 +288,12 @@ class BatchedConfigurations:
         return np.bincount(self.sample_index, weights=values, minlength=self.nsamples)
 
 
-def sample_batch(model: IntensityModel, nsamples: int, seed: int) -> BatchedConfigurations:
-    """Draw nsamples configurations in flat arrays (times unsorted within samples)."""
-    rng = substream(seed)
+def sample_batch(model: IntensityModel, nsamples: int, seed: int, *path: int) -> BatchedConfigurations:
+    """Draw nsamples configurations from the stream (seed, *path) in flat arrays.
+
+    Times are unsorted within samples.
+    """
+    rng = substream(seed, *path)
     counts = rng.poisson(model.rate * model.horizon, size=nsamples)
     total = int(counts.sum())
     times = rng.uniform(0.0, model.horizon, size=total)

@@ -87,17 +87,30 @@ class EstimatorReport:
         }
 
 
+def _standard_error(samples: np.ndarray) -> float:
+    n = samples.size
+    return float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
+def _mean_report(name: str, samples: np.ndarray, reference: float) -> EstimatorReport:
+    """Report for E[samples] = reference."""
+    return EstimatorReport(
+        name=name,
+        estimate=float(np.mean(samples)),
+        reference=float(reference),
+        standard_error=_standard_error(samples),
+        nsamples=samples.size,
+    )
+
+
 def _paired_report(name: str, lhs: np.ndarray, rhs: np.ndarray) -> EstimatorReport:
     """Report for E[lhs] = E[rhs] with variance taken on the paired difference."""
-    diff = lhs - rhs
-    n = diff.size
-    se = float(np.std(diff, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return EstimatorReport(
         name=name,
         estimate=float(np.mean(lhs)),
         reference=float(np.mean(rhs)),
-        standard_error=se,
-        nsamples=n,
+        standard_error=_standard_error(lhs - rhs),
+        nsamples=lhs.size,
     )
 
 

@@ -23,7 +23,6 @@ from scipy import integrate as sci_integrate
 from .configuration import IntensityModel, InvalidModelError
 
 __all__ = [
-    "compound_poisson_model",
     "uniform_model",
     "gauss_model",
     "power_model",
@@ -46,36 +45,6 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
 
 def _point(f: Callable[[np.ndarray], np.ndarray], *coords: float) -> float:
     return float(np.asarray(f(np.array([coords], dtype=float)))[0])
-
-
-def compound_poisson_model(
-    horizon: float,
-    rate: float,
-    dim: int,
-    jump_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    sigma_integrate: Callable[[Callable[[np.ndarray], np.ndarray]], float],
-    mean: np.ndarray | None = None,
-    epsilon: float = 0.0,
-    label: str = "compound",
-    diffuse: bool = True,
-) -> IntensityModel:
-    """Compound Poisson with a user-supplied mark sampler and quadrature."""
-    if mean is None:
-        mean = np.array(
-            [sigma_integrate(lambda xs, j=j: xs[:, j]) for j in range(dim)]
-        )
-    return IntensityModel(
-        label=label,
-        family="compound-poisson",
-        horizon=horizon,
-        dim=dim,
-        epsilon=epsilon,
-        rate=rate,
-        jump_sampler=jump_sampler,
-        sigma_integrate=sigma_integrate,
-        mean=np.asarray(mean, dtype=float),
-        diffuse=diffuse,
-    )
 
 
 def uniform_model(
@@ -113,7 +82,6 @@ def uniform_model(
         family="compound-poisson",
         horizon=horizon,
         dim=dim,
-        epsilon=0.0,
         rate=rate,
         jump_sampler=sampler,
         sigma_integrate=sigma_int,
@@ -154,7 +122,6 @@ def gauss_model(
         family="compound-poisson",
         horizon=horizon,
         dim=dim,
-        epsilon=0.0,
         rate=rate,
         jump_sampler=sampler,
         sigma_integrate=sigma_int,
@@ -218,7 +185,6 @@ def power_model(
         family="power-truncated",
         horizon=horizon,
         dim=1,
-        epsilon=epsilon,
         rate=rate,
         jump_sampler=sampler,
         sigma_integrate=sigma_int,
@@ -291,7 +257,6 @@ def polar_model(
         family="polar",
         horizon=horizon,
         dim=2,
-        epsilon=epsilon,
         rate=rate,
         jump_sampler=sampler,
         sigma_integrate=sigma_int,
@@ -363,7 +328,6 @@ def curve_model(
         family="curve-image",
         horizon=horizon,
         dim=2,
-        epsilon=epsilon,
         rate=base.rate,
         jump_sampler=sampler,
         sigma_integrate=sigma_int,
@@ -399,7 +363,6 @@ def dyadic_model(
         family="atomic-dyadic",
         horizon=horizon,
         dim=1,
-        epsilon=float(values[-1]),
         rate=rate,
         jump_sampler=sampler,
         sigma_integrate=sigma_int,

@@ -51,6 +51,7 @@ __all__ = [
     "chain_rule_check",
     "det_positivity_survey",
     "SurveyResult",
+    "survey_row",
     "diag_squares_gamma",
     "identity_gamma",
     "norm_scaled_gamma",
@@ -240,10 +241,27 @@ class CarreDuChamp:
         return float(np.linalg.eigvalsh(self.matrix).min())
 
 
-def _atom_jacobian(F: Functional, reduced: Configuration, t: float, x: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "fd" or not F.has_closed_derivative:
-        return finite_difference_add_derivative(F.value, reduced, t, x, F.out_dim)
-    return np.atleast_2d(F.add_derivative(reduced, t, x))
+def _atom_jacobians(F: Functional, cfg: Configuration, mode: str) -> np.ndarray:
+    """The lend loop: D at every atom with that atom lent back, shape (n, m, d)."""
+    if mode not in ("closed", "fd"):
+        raise EngineError(f"unknown mode {mode!r}")
+    m, d = F.out_dim, cfg.dim
+    closed = mode == "closed" and F.has_closed_derivative
+    out = np.empty((cfg.n_atoms, m, d))
+    for i in range(cfg.n_atoms):
+        t_i = float(cfg.times[i])
+        x_i = cfg.marks[i]
+        reduced = remove_index(cfg, i)
+        if closed:
+            jac = np.atleast_2d(F.add_derivative(reduced, t_i, x_i))
+        else:
+            jac = finite_difference_add_derivative(F.value, reduced, t_i, x_i, m)
+        if jac.shape != (m, d):
+            raise EngineError(f"atom {i}: derivative shape {jac.shape}, expected {(m, d)}")
+        if not np.all(np.isfinite(jac)):
+            raise EngineError(f"atom {i} at (t={t_i}, x={x_i}): non-finite derivative {jac}")
+        out[i] = jac
+    return out
 
 
 def carre_du_champ(
@@ -257,24 +275,14 @@ def carre_du_champ(
     mode "closed" uses the functional's own derivative when it has one;
     mode "fd" forces the central finite-difference oracle.
     """
-    if mode not in ("closed", "fd"):
-        raise EngineError(f"unknown mode {mode!r}")
     if spec.dim != cfg.dim or F.mark_dim != cfg.dim:
         raise EngineError(
             f"dimension mismatch: cfg d={cfg.dim}, spec d={spec.dim}, functional d={F.mark_dim}"
         )
-    m = F.out_dim
-    total = np.zeros((m, m))
+    jacs = _atom_jacobians(F, cfg, mode)
+    total = np.zeros((F.out_dim, F.out_dim))
     contribs: list[np.ndarray] = []
-    for i in range(cfg.n_atoms):
-        t_i = float(cfg.times[i])
-        x_i = cfg.marks[i]
-        reduced = remove_index(cfg, i)
-        jac = _atom_jacobian(F, reduced, t_i, x_i, mode)
-        if jac.shape != (m, cfg.dim):
-            raise EngineError(f"atom {i}: derivative shape {jac.shape}, expected {(m, cfg.dim)}")
-        if not np.all(np.isfinite(jac)):
-            raise EngineError(f"atom {i} at (t={t_i}, x={x_i}): non-finite derivative {jac}")
+    for jac, x_i in zip(jacs, cfg.marks):
         contrib = jac @ spec.alpha(x_i) @ jac.T
         contrib = 0.5 * (contrib + contrib.T)
         contribs.append(contrib)
@@ -282,15 +290,16 @@ def carre_du_champ(
     return CarreDuChamp(matrix=total, contributions=tuple(contribs))
 
 
+def _sharp(F: Functional, cfg: Configuration, spec: GammaSpec, aux: np.ndarray, mode: str) -> np.ndarray:
+    """sum_a D_a L(x_a) eta(r_a) for each row of aux marks (s, n): shape (s, m)."""
+    jacs = _atom_jacobians(F, cfg, mode)
+    chols = np.reshape([spec.chol(x) for x in cfg.marks], (cfg.n_atoms, spec.dim, spec.dim))
+    return np.einsum("amk,sak->sm", jacs @ chols, spec.eta(aux))
+
+
 def sharp_sample(F: Functional, mcfg: MarkedConfiguration, spec: GammaSpec, mode: str = "closed") -> np.ndarray:
     """One gradient sample: sum_a D_a L(x_a) eta(r_a), shape (m,)."""
-    cfg = mcfg.base
-    out = np.zeros(F.out_dim)
-    for i in range(cfg.n_atoms):
-        reduced = remove_index(cfg, i)
-        jac = _atom_jacobian(F, reduced, float(cfg.times[i]), cfg.marks[i], mode)
-        out += jac @ spec.chol(cfg.marks[i]) @ spec.eta(mcfg.aux_marks[i])
-    return out
+    return _sharp(F, mcfg.base, spec, mcfg.aux_marks[None, :], mode)[0]
 
 
 def sharp_sample_many(
@@ -307,17 +316,7 @@ def sharp_sample_many(
     auxiliary marks are redrawn; the empirical second moment converges to
     the carre-du-champ matrix.
     """
-    n = cfg.n_atoms
-    if n == 0:
-        return np.zeros((nsamples, F.out_dim))
-    g = np.empty((n, F.out_dim, spec.dim))
-    for i in range(n):
-        reduced = remove_index(cfg, i)
-        jac = _atom_jacobian(F, reduced, float(cfg.times[i]), cfg.marks[i], mode)
-        g[i] = jac @ spec.chol(cfg.marks[i])
-    rs = substream(seed).random((nsamples, n))
-    eta = spec.eta(rs)  # (nsamples, n, d)
-    return np.einsum("amk,sak->sm", g, eta)
+    return _sharp(F, cfg, spec, substream(seed).random((nsamples, cfg.n_atoms)), mode)
 
 
 def chain_rule_check(
@@ -353,16 +352,62 @@ def _scale_aware_pass(det: float, trace: float, m: int, tol: float) -> bool:
     return det > tol * (trace / m) ** m
 
 
+def survey_row(
+    F: Functional,
+    model: IntensityModel,
+    spec: GammaSpec,
+    seed: int,
+    i: int,
+    tol: float,
+    mode: str = "closed",
+) -> tuple:
+    """Survey row of the configuration drawn from stream (seed, i).
+
+    (i, n_atoms, det, trace, min_eig, simplified_fraction), where the last
+    entry is the fraction of atoms whose single contribution already passes
+    the scale-aware rule.
+    """
+    cfg = sample_configuration(model, seed, i)
+    cdc = carre_du_champ(F, cfg, spec, mode=mode)
+    m = F.out_dim
+    simp = 0.0
+    if cdc.contributions:
+        simp = np.mean(
+            [
+                _scale_aware_pass(float(np.linalg.det(c)), float(np.trace(c)), m, tol)
+                for c in cdc.contributions
+            ]
+        )
+    return (i, cfg.n_atoms, cdc.det, cdc.trace, cdc.min_eigenvalue, float(simp))
+
+
 @dataclass(frozen=True)
 class SurveyResult:
-    """Nondegeneracy survey over sampled configurations."""
+    """Nondegeneracy survey over sampled configurations, built from survey rows."""
 
     functional: str
-    nsamples: int
+    out_dim: int
     tol: float
-    frequency: float            # fraction with det above the scale-aware threshold
-    simplified_frequency: float  # mean per-atom fraction with det contribution > 0
-    rows: tuple[tuple, ...]      # (seed index, n_atoms, det, trace, min_eig, simplified_fraction)
+    rows: tuple[tuple, ...]  # (global index i, n_atoms, det, trace, min_eig, simplified_fraction)
+
+    def __post_init__(self) -> None:
+        if not self.rows:
+            raise EngineError("nsamples must be >= 1")
+
+    @property
+    def nsamples(self) -> int:
+        return len(self.rows)
+
+    @property
+    def frequency(self) -> float:
+        """Fraction of rows with det above the scale-aware threshold."""
+        hits = sum(_scale_aware_pass(r[2], r[3], self.out_dim, self.tol) for r in self.rows)
+        return hits / self.nsamples
+
+    @property
+    def simplified_frequency(self) -> float:
+        """Mean per-atom fraction with a passing single contribution."""
+        return sum(r[5] for r in self.rows) / self.nsamples
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -389,41 +434,7 @@ def det_positivity_survey(
     matrix plus the fraction of atoms whose single contribution already has
     positive determinant (the stronger per-atom sufficient condition, which
     can only hold when the functional dimension does not exceed the mark
-    dimension).
+    dimension).  Row i is drawn from stream (seed, i).
     """
-    if nsamples < 1:
-        raise EngineError("nsamples must be >= 1")
-    m = F.out_dim
-    rows = []
-    hits = 0
-    simp_sum = 0.0
-    for i in range(nsamples):
-        cfg = sample_configuration(model, seed=_survey_seed(seed, i))
-        cdc = carre_du_champ(F, cfg, spec, mode=mode)
-        det, trace = cdc.det, cdc.trace
-        ok = _scale_aware_pass(det, trace, m, tol)
-        hits += bool(ok)
-        if cdc.contributions:
-            simp = np.mean(
-                [
-                    _scale_aware_pass(float(np.linalg.det(c)), float(np.trace(c)), m, tol)
-                    for c in cdc.contributions
-                ]
-            )
-        else:
-            simp = 0.0
-        simp_sum += simp
-        rows.append((i, cfg.n_atoms, det, trace, cdc.min_eigenvalue, float(simp)))
-    return SurveyResult(
-        functional=F.label,
-        nsamples=nsamples,
-        tol=tol,
-        frequency=hits / nsamples,
-        simplified_frequency=simp_sum / nsamples,
-        rows=tuple(rows),
-    )
-
-
-def _survey_seed(seed: int, i: int) -> int:
-    # distinct per-sample streams derived from (seed, i); keep as ints for logs
-    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(i),)).generate_state(1)[0])
+    rows = tuple(survey_row(F, model, spec, seed, i, tol, mode) for i in range(nsamples))
+    return SurveyResult(functional=F.label, out_dim=F.out_dim, tol=tol, rows=rows)

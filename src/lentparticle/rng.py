@@ -14,10 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-#: samples per deterministic chunk; fixed so that results do not depend on
-#: the worker count, only on (seed, chunk index).
-CHUNK = 1024
-
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for the stream keyed by (seed, *path).
@@ -29,7 +25,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def chunk_ranges(n: int, chunk: int = CHUNK) -> list[tuple[int, int]]:
+def chunk_ranges(n: int, chunk: int) -> list[tuple[int, int]]:
     """Split range(n) into fixed-size chunks [(start, stop), ...]."""
     return [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
 

@@ -19,6 +19,7 @@ from .chaos import (
     MarkFunction,
     ResamplingSemigroup,
     mehler_exponential_check,
+    multiple_integral_batch,
     orthogonality_mc,
     pt_symmetry_check,
     second_quantization_check,
@@ -26,6 +27,7 @@ from .chaos import (
 from .configuration import IntensityModel, sample_batch, sample_configuration
 from .diagnostics import (
     EstimatorReport,
+    _mean_report,
     laplace_check,
     duality_check,
     mark_identities_check,
@@ -189,20 +191,8 @@ def _semigroup_group(seed: int, scale: float) -> list[EstimatorReport]:
     n = _n(1_000_000, scale)
     batch = sample_batch(model, n, seed=seed + 73)
     uu = MarkFunction(lambda xs: 0.5 * xs[:, 0], sup_bound=0.5)
-    from .chaos import _e_from_power_sums, _i_n_from_e, _power_sums
-
-    vals = uu(batch.marks) if batch.times.size else np.zeros(0)
-    e = _e_from_power_sums(_power_sums(batch, vals, 2), 2)
-    i2 = _i_n_from_e(e, model.nu_integrate(uu), 2)
-    out.append(
-        EstimatorReport(
-            name="chaos_centering[n=2]",
-            estimate=float(i2.mean()),
-            reference=0.0,
-            standard_error=float(i2.std(ddof=1) / math.sqrt(n)),
-            nsamples=n,
-        )
-    )
+    i2 = multiple_integral_batch(batch, uu, model.nu_integrate(uu), 2)
+    out.append(_mean_report("chaos_centering[n=2]", i2, 0.0))
     return out
 
 
@@ -216,26 +206,9 @@ def _gradient_moment_group(seed: int, scale: float) -> list[EstimatorReport]:
         cfg = sample_configuration(model, seed=seed + 80 + k)
         gamma = carre_du_champ(F, cfg, spec).matrix[0, 0]
         samples = sharp_sample_many(F, cfg, spec, n, seed=seed + 90 + k)[:, 0]
-        sq = samples**2
-        out.append(
-            EstimatorReport(
-                name=f"sharp_second_moment[cfg{k}]",
-                estimate=float(sq.mean()),
-                reference=float(gamma),
-                standard_error=float(sq.std(ddof=1) / math.sqrt(n)) if cfg.n_atoms else 0.0,
-                nsamples=n,
-            )
-        )
+        out.append(_mean_report(f"sharp_second_moment[cfg{k}]", samples**2, gamma))
         if k < 2:
-            out.append(
-                EstimatorReport(
-                    name=f"sharp_centering[cfg{k}]",
-                    estimate=float(samples.mean()),
-                    reference=0.0,
-                    standard_error=float(samples.std(ddof=1) / math.sqrt(n)) if cfg.n_atoms else 0.0,
-                    nsamples=n,
-                )
-            )
+            out.append(_mean_report(f"sharp_centering[cfg{k}]", samples, 0.0))
     return out
 
 
@@ -248,20 +221,8 @@ def _configuration_group(seed: int, scale: float) -> list[EstimatorReport]:
     sums = batch.sum_per_sample(f(batch.marks)) - nu_f
     nu_f2 = model.nu_integrate(lambda xs: np.cos(xs[:, 0]) ** 2)
     out = [
-        EstimatorReport(
-            name="compensated_centering[cos]",
-            estimate=float(sums.mean()),
-            reference=0.0,
-            standard_error=float(sums.std(ddof=1) / math.sqrt(n)),
-            nsamples=n,
-        ),
-        EstimatorReport(
-            name="compensated_variance[cos]",
-            estimate=float((sums**2).mean()),
-            reference=float(nu_f2),
-            standard_error=float((sums**2).std(ddof=1) / math.sqrt(n)),
-            nsamples=n,
-        ),
+        _mean_report("compensated_centering[cos]", sums, 0.0),
+        _mean_report("compensated_variance[cos]", sums**2, nu_f2),
     ]
     half = model.horizon / 2.0
     early = batch.times < half
@@ -269,15 +230,7 @@ def _configuration_group(seed: int, scale: float) -> list[EstimatorReport]:
     c2 = np.bincount(batch.sample_index[~early], minlength=n).astype(float)
     lam_half = model.rate * half
     prod = (c1 - lam_half) * (c2 - lam_half)
-    out.append(
-        EstimatorReport(
-            name="independent_windows_cov",
-            estimate=float(prod.mean()),
-            reference=0.0,
-            standard_error=float(prod.std(ddof=1) / math.sqrt(n)),
-            nsamples=n,
-        )
-    )
+    out.append(_mean_report("independent_windows_cov", prod, 0.0))
     return out
 
 

@@ -19,6 +19,7 @@ from lentparticle.chaos import (
     mehler_apply,
     mehler_exponential_check,
     multiple_integral,
+    multiple_integral_batch,
     multiple_integral_equal,
     multiple_integral_functional,
     orthogonality_mc,
@@ -27,7 +28,7 @@ from lentparticle.chaos import (
     pt_symmetry_check,
     second_quantization_check,
 )
-from lentparticle.configuration import Configuration, sample_configuration
+from lentparticle.configuration import Configuration, sample_batch, sample_configuration
 from lentparticle.functionals import make_doleans, stack_functionals
 from lentparticle.intensities import uniform_model
 from lentparticle.lent_particle import carre_du_champ, diag_squares_gamma
@@ -202,6 +203,16 @@ class TestChaosGamma:
         plain = MarkFunction(lambda xs: xs[:, 0], sup_bound=1.0)
         with pytest.raises(ChaosError):
             chaos_gamma_closed(EX1, MODEL01, plain, plain, 1, 1, SPEC)
+
+
+class TestBatchIntegrals:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    def test_batch_matches_per_configuration(self, n):
+        batch = sample_batch(SYM, 200, seed=12)
+        nu = SYM.nu_integrate(V_SQ)
+        got = multiple_integral_batch(batch, V_SQ, nu, n)
+        want = [multiple_integral_equal(batch.config(i), SYM, V_SQ, n, nu_u=nu) for i in range(200)]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 class TestOrthogonality:

@@ -6,6 +6,9 @@ import pytest
 
 from lentparticle.cli import ConfigParseError, main, parse_config
 from lentparticle.configuration import read_configuration
+from lentparticle.functionals import make_pair_doleans
+from lentparticle.intensities import uniform_model
+from lentparticle.lent_particle import det_positivity_survey, diag_squares_gamma
 
 GAMMA_CFG = """\
 # exponential pair on the pinned two-atom configuration
@@ -200,6 +203,63 @@ class TestRun:
         assert (tmp_path / "density_ecf.csv").exists()
         first = (tmp_path / "density_kde.csv").read_text().splitlines()[0]
         assert first.startswith("# config_sha256=")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "old,new,error",
+        [
+            ("horizon = 1.0", "horizon = -1", "InvalidModelError"),
+            ("t = 1.0", "t = 5", "FunctionalError"),
+            ("seed = 7", "seed = abc", "seed = 'abc' is not an integer"),
+            ("seed = 7", "seed = -1", "seed must be >= 0"),
+            ("fixture = exp_pair", "fixture = area", "EngineError"),
+        ],
+    )
+    def test_invalid_values_exit_2_with_one_line(self, tmp_path, capsys, old, new, error):
+        path = tmp_path / "bad.cfg"
+        path.write_text(GAMMA_CFG.replace(old, new))
+        assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert error in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("nsamples", [0, -5])
+    def test_survey_without_samples_exits_2(self, tmp_path, capsys, nsamples):
+        path = tmp_path / "survey.cfg"
+        path.write_text(SURVEY_CFG.replace("nsamples = 400", f"nsamples = {nsamples}"))
+        assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 2
+        assert "nsamples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "survey.csv").exists()
+
+
+def _survey_rows(tmp_path, sub, cfg_text, *flags):
+    path = tmp_path / f"{sub}.cfg"
+    path.write_text(cfg_text)
+    assert main(["--out-dir", str(tmp_path / sub), *flags, "run", str(path)]) == 0
+    return (tmp_path / sub / "survey.csv").read_text().splitlines()[2:]
+
+
+class TestSurveyStreams:
+    CFG = SURVEY_CFG.replace("seed = 3", "seed = 5").replace("nsamples = 400", "nsamples = 500")
+
+    def test_cli_rows_equal_library_rows(self, tmp_path):
+        rows = _survey_rows(tmp_path, "cli", self.CFG)
+        model = uniform_model(1.0, rate=6.0, low=-0.9, high=0.9)
+        F, spec = make_pair_doleans(model, 1.0), diag_squares_gamma(1)
+        res = det_positivity_survey(F, model, spec, 500, seed=5)
+        assert rows == res.to_csv().splitlines()[1:]
+
+    def test_seeds_do_not_share_rows_across_chunks(self, tmp_path):
+        seed5 = _survey_rows(tmp_path, "s5", self.CFG)
+        seed255 = _survey_rows(tmp_path, "s255", self.CFG.replace("seed = 5", "seed = 255"))
+        drop_index = lambda rows: [r.split(",", 1)[1] for r in rows]
+        assert drop_index(seed5[250:500]) != drop_index(seed255[0:250])
+
+    def test_seed_flag_keys_the_rows(self, tmp_path):
+        flagged = _survey_rows(tmp_path, "flag", self.CFG, "--seed", "255")
+        configured = _survey_rows(tmp_path, "cfg", self.CFG.replace("seed = 5", "seed = 255"))
+        assert flagged == configured
 
 
 class TestReproducibility:

@@ -2,12 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lentparticle.configuration import Atom, Configuration, add_particle, attach_marks, sample_configuration
+from lentparticle.configuration import (
+    Atom,
+    Configuration,
+    MarkedConfiguration,
+    add_particle,
+    attach_marks,
+    remove_index,
+    sample_configuration,
+)
 from lentparticle.functionals import (
+    finite_difference_add_derivative,
     make_doleans,
     make_pair_doleans,
     make_path_eval,
+    make_stochastic_area,
     scale_functional,
     stack_functionals,
     with_fd_derivative,
@@ -27,6 +39,37 @@ from lentparticle.lent_particle import (
     sharp_sample_many,
 )
 from lentparticle.rng import substream
+
+# distinct times in (0, 1] and marks bounded away from 0 and -1
+ATOMS = st.lists(
+    st.tuples(
+        st.floats(0.01, 1.0),
+        st.floats(0.05, 0.9) | st.floats(-0.9, -0.05),
+    ),
+    min_size=0,
+    max_size=6,
+    unique_by=lambda a: a[0],
+)
+
+
+def _config(atoms) -> Configuration:
+    atoms = sorted(atoms)
+    return Configuration(1.0, 1, [a[0] for a in atoms], [[a[1]] for a in atoms], "manual")
+
+
+def _sharp_per_atom(F, mcfg, spec, mode="closed"):
+    """The per-atom gradient-sample loop, kept as the oracle for the batched engine."""
+    cfg = mcfg.base
+    out = np.zeros(F.out_dim)
+    for i in range(cfg.n_atoms):
+        reduced = remove_index(cfg, i)
+        t_i, x_i = float(cfg.times[i]), cfg.marks[i]
+        if mode == "fd" or not F.has_closed_derivative:
+            jac = finite_difference_add_derivative(F.value, reduced, t_i, x_i, F.out_dim)
+        else:
+            jac = np.atleast_2d(F.add_derivative(reduced, t_i, x_i))
+        out += jac @ spec.chol(x_i) @ spec.eta(mcfg.aux_marks[i])
+    return out
 
 MODEL = uniform_model(1.0, rate=2.0, low=-0.9, high=0.9, label="sym")
 SPEC = diag_squares_gamma(1)
@@ -191,6 +234,39 @@ class TestSharpSample:
         ]
         assert all(np.isfinite(batchless))
 
+    @pytest.mark.parametrize("mode", ["closed", "fd"])
+    def test_matches_per_atom_oracle_d1(self, mode):
+        F = make_pair_doleans(MODEL, 1.0)
+        for seed in range(10):
+            mcfg = attach_marks(sample_configuration(MODEL, seed), seed=500 + seed)
+            got = sharp_sample(F, mcfg, SPEC, mode=mode)
+            np.testing.assert_allclose(got, _sharp_per_atom(F, mcfg, SPEC, mode), rtol=0, atol=1e-14)
+
+    def test_matches_per_atom_oracle_d2(self):
+        model = uniform_model(1.0, rate=5.0, low=-0.3, high=0.8, dim=2)
+        F = make_stochastic_area(model, 1.0)
+        spec = diag_squares_gamma(2)
+        for seed in range(10):
+            mcfg = attach_marks(sample_configuration(model, seed), seed=600 + seed)
+            got = sharp_sample(F, mcfg, spec)
+            np.testing.assert_allclose(got, _sharp_per_atom(F, mcfg, spec), rtol=0, atol=1e-14)
+
+    def test_many_rows_are_samples_at_their_aux_marks(self):
+        F = make_pair_doleans(MODEL, 1.0)
+        cfg = sample_configuration(MODEL, 3)
+        many = sharp_sample_many(F, cfg, SPEC, 5, seed=11)
+        aux = substream(11).random((5, cfg.n_atoms))
+        for row, r in zip(many, aux):
+            np.testing.assert_array_equal(row, sharp_sample(F, MarkedConfiguration(cfg, r), SPEC))
+
+    def test_engine_errors_reach_samplers(self):
+        F = make_doleans(MODEL, 1.0)
+        bad = with_fd_derivative("nan", 1, 1, lambda cfg: np.array([np.nan]))
+        with pytest.raises(EngineError):
+            sharp_sample_many(bad, EX1, SPEC, 3, seed=0)
+        with pytest.raises(EngineError):
+            sharp_sample(F, attach_marks(EX1, seed=0), SPEC, mode="magic")
+
     def test_second_moment_converges_to_gamma(self):
         F = make_doleans(MODEL, 1.0)
         gamma = carre_du_champ(F, EX1, SPEC).matrix[0, 0]
@@ -200,6 +276,30 @@ class TestSharpSample:
         assert abs(sq.mean() - gamma) <= 4.0 * sq.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean()) <= 4.0 * samples.std(ddof=1) / math.sqrt(n)
         assert gamma == pytest.approx(0.25, abs=1e-12)
+
+
+class TestLendProperties:
+    @given(ATOMS, st.floats(0.01, 1.0), st.floats(0.05, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_remove_after_add_is_identity(self, atoms, t, x):
+        cfg = _config(atoms)
+        if t in cfg.times:
+            return
+        grown = add_particle(cfg, Atom(t, [x]))
+        assert remove_index(grown, int(np.searchsorted(grown.times, t))) == cfg
+
+    @given(ATOMS)
+    @settings(max_examples=60, deadline=None)
+    def test_contributions_psd_and_sum_to_gamma(self, atoms):
+        cfg = _config(atoms)
+        cdc = carre_du_champ(make_pair_doleans(MODEL, 1.0), cfg, SPEC)
+        assert len(cdc.contributions) == cfg.n_atoms
+        total = np.zeros((2, 2))
+        for c in cdc.contributions:
+            w = np.linalg.eigvalsh(c)
+            assert w.min() >= -1e-12 * max(w.max(), 1e-30)
+            total = total + c
+        np.testing.assert_allclose(cdc.matrix, total, rtol=1e-12, atol=1e-15)
 
 
 class TestChainRule:
@@ -244,6 +344,17 @@ class TestSurvey:
         assert res.frequency >= 0.995
         # per-atom contributions are rank one for a 2-d functional of 1-d marks
         assert res.simplified_frequency == 0.0
+
+    def test_row_i_drawn_from_stream_seed_i(self):
+        F = make_path_eval(MODEL, 1.0)
+        res = det_positivity_survey(F, MODEL, SPEC, 4, seed=8)
+        for i, row in enumerate(res.rows):
+            assert row[:2] == (i, sample_configuration(MODEL, 8, i).n_atoms)
+
+    @pytest.mark.parametrize("nsamples", [0, -5])
+    def test_rejects_empty_survey(self, nsamples):
+        with pytest.raises(EngineError):
+            det_positivity_survey(make_path_eval(MODEL, 1.0), MODEL, SPEC, nsamples, seed=8)
 
     def test_csv_shape(self):
         res = det_positivity_survey(make_path_eval(MODEL, 1.0), MODEL, SPEC, 5, seed=8)
