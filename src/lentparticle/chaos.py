@@ -33,7 +33,7 @@ from .configuration import (
     IntensityModel,
     sample_batch,
 )
-from .diagnostics import EstimatorReport, _mean_report, _paired_report
+from .diagnostics import EstimatorReport, _mean_report, _paired_report, _standard_error
 from .functionals import Functional, with_fd_derivative
 from .lent_particle import GammaSpec
 from .rng import chunk_ranges, substream
@@ -244,10 +244,6 @@ class ExpSeriesResult:
     residual: float
     tail_scale: float  # (t sup|u|)^(n_max+1) e^(|t| nu(|u|))
     n_max: int
-
-    @property
-    def ratio(self) -> float:
-        return self.residual / self.tail_scale if self.tail_scale > 0 else math.inf
 
 
 def exp_series_check(
@@ -554,8 +550,7 @@ def mehler_apply(
         else:
             moved = cfg
         vals[rep] = float(np.atleast_1d(F.value(moved))[0])
-    se = float(vals.std(ddof=1) / math.sqrt(n_inner)) if n_inner > 1 else 0.0
-    return float(vals.mean()), se
+    return float(vals.mean()), _standard_error(vals)
 
 
 def mehler_exponential_check(
@@ -592,12 +587,9 @@ def mehler_exponential_check(
             gres = g(res_marks.reshape(-1, model.dim)).reshape(total, n_inner)
             moved = np.where(keep, gv[:, None], gres)
             logs = np.log1p(moved)
-            per_rep = np.vstack(
-                [
-                    np.bincount(batch.sample_index, weights=logs[:, rep], minlength=batch.nsamples)
-                    for rep in range(n_inner)
-                ]
-            )
+            # one row per rep: the mean then adds the reps one after another, where a
+            # pairwise mean along each sample's row would round the last bit differently
+            per_rep = np.ascontiguousarray(batch.sum_per_sample(logs).T)
             lhs[lo:hi] = np.exp(per_rep).mean(axis=0)
         else:
             lhs[lo:hi] = 1.0

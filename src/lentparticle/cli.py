@@ -8,6 +8,7 @@ as decimals with exponent.  Subcommands:
                     rules hold, 2 on config errors and invalid model,
                     functional or domain values, 3 on registry misses)
     list <registry> print one of models | functionals | gammas | experiments
+                    with its parameters (for experiments: keys and defaults)
     fixtures        write the pinned example configurations to --out-dir
 
 Artifacts (CSV and JSON) carry a provenance header (config hash, seed,
@@ -59,8 +60,6 @@ from .lent_particle import (
 from .rng import chunk_ranges, parallel_map
 from .suite import standard_suite, suite_pass_fraction
 
-EXPERIMENTS = ("gamma", "survey", "identity", "chaos", "density", "rajchman")
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
@@ -74,14 +73,28 @@ SURVEY_CHUNK = 250
 
 
 class ConfigParseError(Exception):
-    def __init__(self, msg: str, line: int, col: int) -> None:
+    """A config error, placed at the line and column of its key or section when it has one."""
+
+    def __init__(self, msg: str, line: int | None = None, col: int | None = None) -> None:
         super().__init__(msg)
         self.line = line
         self.col = col
 
+    def where(self) -> str:
+        return "" if self.line is None else f" at line {self.line}, column {self.col}"
 
-class RegistryMiss(Exception):
-    pass
+
+class RegistryMiss(ConfigParseError):
+    """A name outside its registry, or a value outside its key's allowed set (exit 3)."""
+
+
+class Section(dict):
+    """One config section's keys and values; ``at`` is the header's (line, column), ``pos`` each key's."""
+
+    def __init__(self, at: tuple = ()) -> None:
+        super().__init__()
+        self.at = at
+        self.pos: dict[str, tuple[int, int]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +146,13 @@ def _parse_value(tok: str, line: int, col: int):
     return _parse_scalar(tok, line, col)
 
 
-def parse_config(text: str) -> dict[str, dict]:
-    """Parse the bracketed-section key-value format; raises with line/column."""
-    sections: dict[str, dict] = {}
-    current: dict | None = None
+def parse_config(text: str) -> dict[str, Section]:
+    """Parse the bracketed-section key-value format; raises with line/column.
+
+    Each section keeps the position of its header and of each of its keys.
+    """
+    sections: dict[str, Section] = {}
+    current: Section | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).rstrip()
         if not line.strip():
@@ -151,7 +167,7 @@ def parse_config(text: str) -> dict[str, dict]:
                 raise ConfigParseError("empty section name", lineno, col)
             if name in sections:
                 raise ConfigParseError(f"duplicate section [{name}]", lineno, col)
-            current = {}
+            current = Section((lineno, col))
             sections[name] = current
             continue
         if "=" not in stripped:
@@ -166,44 +182,8 @@ def parse_config(text: str) -> dict[str, dict]:
             raise ConfigParseError(f"duplicate key {key!r}", lineno, col)
         vcol = raw.index("=") + 2
         current[key] = _parse_value(val, lineno, vcol)
+        current.pos[key] = (lineno, col)
     return sections
-
-
-_COMMON_EXP_KEYS = {"kind", "seed", "out", "summary_out", "nsamples", "tolerance"}
-EXPERIMENT_KEYS = {
-    "gamma": _COMMON_EXP_KEYS | {"fixture"},
-    "survey": _COMMON_EXP_KEYS | {"min_frequency"},
-    "identity": _COMMON_EXP_KEYS | {"scale", "min_pass_fraction", "probe"},
-    "chaos": _COMMON_EXP_KEYS | {"u", "v", "nconfigs", "ngamma", "series_tol", "product_tol", "gamma_tol"},
-    "density": _COMMON_EXP_KEYS | {"u_max", "ecf_out"},
-    "rajchman": _COMMON_EXP_KEYS | {"k_max"},
-}
-
-
-_INT_KEYS = {"seed", "nsamples", "nconfigs", "ngamma", "k_max"}
-_FLOAT_KEYS = {
-    "tolerance", "min_frequency", "scale", "min_pass_fraction",
-    "series_tol", "product_tol", "gamma_tol", "u_max",
-}
-
-
-def _reject_unknown(section: dict, allowed: set[str], name: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigParseError(
-            f"unknown keys in [{name}]: {sorted(unknown)} (allowed: {sorted(allowed)})", 0, 0
-        )
-
-
-def _coerce_numbers(exp: dict) -> None:
-    """Cast the numeric [experiment] keys in place; a non-numeric value is a config error."""
-    for key in exp.keys() & (_INT_KEYS | _FLOAT_KEYS):
-        cast = int if key in _INT_KEYS else float
-        try:
-            exp[key] = cast(exp[key])
-        except (TypeError, ValueError):
-            kind = "an integer" if cast is int else "a number"
-            raise ConfigParseError(f"[experiment] {key} = {exp[key]!r} is not {kind}", 0, 0) from None
 
 
 # ---------------------------------------------------------------------------
@@ -241,71 +221,63 @@ KERNELS = {
 }
 
 
-def _provenance(config_text: str, seed: int) -> dict:
-    return {
+def _write_artifacts(out_dir: str, files: dict, passed: bool, params: dict, config_text: str) -> None:
+    """Write each artifact under the file name its key holds in params.
+
+    A CSV body follows a provenance header line; a JSON summary gains the
+    provenance and pass fields.
+    """
+    prov = {
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        "seed": int(seed),
+        "seed": params["seed"],
         "version": __version__,
     }
+    os.makedirs(out_dir, exist_ok=True)
+    header = f"# config_sha256={prov['config_sha256']} seed={prov['seed']} version={prov['version']}\n"
+    for key, content in files.items():
+        with open(os.path.join(out_dir, params[key]), "w") as fh:
+            if isinstance(content, str):
+                fh.write(header + content)
+            else:
+                json.dump({**content, "provenance": prov, "pass": passed}, fh, sort_keys=True, indent=2)
+                fh.write("\n")
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+#: (section, name key, registry, builder(name, params, model))
+SECTIONS = (
+    ("model", "family", MODEL_FAMILIES, lambda name, params, model: build_model(name, **params)),
+    (
+        "functional", "label", FUNCTIONAL_BUILDERS,
+        lambda name, params, model: build_functional(name, model, **params),
+    ),
+    ("gamma", "label", GAMMA_BUILDERS, lambda name, params, model: build_gamma(name, **params)),
+)
 
 
-def _write_csv(path: str, body: str, prov: dict) -> None:
-    header = (
-        f"# config_sha256={prov['config_sha256']} seed={prov['seed']} version={prov['version']}\n"
-    )
-    with open(path, "w") as fh:
-        fh.write(header)
-        fh.write(body)
-
-
-def _build_from_sections(cfg: dict[str, dict]):
-    model_sec = dict(cfg.get("model", {}))
-    family = model_sec.pop("family", None)
-    if family is None:
-        raise ConfigParseError("missing 'family' in [model]", 0, 0)
-    if family not in MODEL_FAMILIES:
-        raise RegistryMiss(f"unknown model family {family!r}")
-    try:
-        model = build_model(family, **model_sec)
-    except TypeError as exc:
-        raise ConfigParseError(f"bad [model] parameters: {exc}", 0, 0) from exc
-
-    functional = None
-    if "functional" in cfg:
-        fsec = dict(cfg["functional"])
-        label = fsec.pop("label", None)
-        if label is None:
-            raise ConfigParseError("missing 'label' in [functional]", 0, 0)
-        if label not in FUNCTIONAL_BUILDERS:
-            raise RegistryMiss(f"unknown functional {label!r}")
+def _build_from_sections(cfg: dict[str, Section]) -> dict:
+    """Build the model, functional and gamma spec by section name; an absent section builds None."""
+    built: dict = {}
+    for section, name_key, registry, build in SECTIONS:
+        sec = cfg.get(section)
+        if sec is None:
+            built[section] = None
+            continue
+        params = dict(sec)
+        name = params.pop(name_key, None)
+        if name is None:
+            raise ConfigParseError(f"missing {name_key!r} in [{section}]", *sec.at)
+        if not isinstance(name, str) or name not in registry:
+            raise RegistryMiss(f"unknown [{section}] {name_key} {name!r}", *sec.pos.get(name_key, ()))
         try:
-            functional = build_functional(label, model, **fsec)
+            built[section] = build(name, params, built.get("model"))
         except TypeError as exc:
-            raise ConfigParseError(f"bad [functional] parameters: {exc}", 0, 0) from exc
-
-    gamma = None
-    if "gamma" in cfg:
-        gsec = dict(cfg["gamma"])
-        label = gsec.pop("label", None)
-        if label is None:
-            raise ConfigParseError("missing 'label' in [gamma]", 0, 0)
-        if label not in GAMMA_BUILDERS:
-            raise RegistryMiss(f"unknown gamma spec {label!r}")
-        try:
-            gamma = build_gamma(label, **gsec)
-        except TypeError as exc:
-            raise ConfigParseError(f"bad [gamma] parameters: {exc}", 0, 0) from exc
-    return model, functional, gamma
+            raise ConfigParseError(f"bad [{section}] parameters: {exc}", *sec.at) from exc
+    return built
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each runner returns its pass flag and its artifacts, keyed by
+# the parameter that names each file: a JSON summary (dict) or a CSV body (str)
 # ---------------------------------------------------------------------------
 
 def _fmt_matrix(m: np.ndarray) -> str:
@@ -313,122 +285,82 @@ def _fmt_matrix(m: np.ndarray) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
-def _run_gamma(cfg, model, functional, gamma, exp, prov, out_dir):
-    if functional is None or gamma is None:
-        raise ConfigParseError("kind=gamma needs [functional] and [gamma] sections", 0, 0)
-    fixture = exp.get("fixture")
-    if fixture is not None:
-        if fixture not in FIXTURE_CONFIGS:
-            raise RegistryMiss(f"unknown fixture {fixture!r}")
-        configuration = FIXTURE_CONFIGS[fixture]()
+def _run_gamma(p, model, functional, gamma, **_):
+    if p["fixture"] is not None:
+        configuration = FIXTURE_CONFIGS[p["fixture"]]()
     else:
-        configuration = sample_configuration(model, seed=exp["seed"])
+        configuration = sample_configuration(model, seed=p["seed"])
     closed = carre_du_champ(functional, configuration, gamma, mode="closed")
     fd = carre_du_champ(functional, configuration, gamma, mode="fd")
     denom = max(float(np.linalg.norm(closed.matrix)), 1e-300)
     agreement = float(np.linalg.norm(closed.matrix - fd.matrix)) / denom
-    tol = float(exp.get("tolerance", 1e-6 if functional.has_closed_derivative else 1e-4))
+    tol = p["tolerance"]
+    if tol is None:  # criterion 1's tolerance: closed derivatives 1e-6, fd-only functionals 1e-4
+        tol = 1e-6 if functional.has_closed_derivative else 1e-4
     passed = agreement <= tol
     print(f"carre du champ for {functional.label} on {configuration!r}")
     print(f"  matrix = {_fmt_matrix(closed.matrix)}")
     print(f"  det = {closed.det:.12g}  trace = {closed.trace:.12g}")
     print(f"  closed-vs-fd relative difference = {agreement:.3e} (tol {tol:g})")
-    payload = {
-        "provenance": prov,
+    summary = {
         "functional": functional.label,
         "matrix": closed.matrix.tolist(),
         "det": closed.det,
         "trace": closed.trace,
         "fd_matrix": fd.matrix.tolist(),
         "closed_vs_fd": agreement,
-        "pass": passed,
     }
-    _write_json(os.path.join(out_dir, exp.get("out", "gamma.json")), payload)
-    return passed
+    return passed, {"out": summary}
 
 
 def _survey_chunk(args):
-    # workers rebuild the model and functional from the config text: closures do not pickle
-    config_text, functional_label, seed, tol, lo, hi = args
-    cfg = parse_config(config_text)
-    if functional_label is not None:
-        cfg.setdefault("functional", {})["label"] = functional_label
-    model, functional, gamma = _build_from_sections(cfg)
-    return [survey_row(functional, model, gamma, seed, i, tol) for i in range(lo, hi)]
-
-
-def _run_survey(cfg, config_text, model, functional, gamma, exp, prov, out_dir, jobs, label=None):
-    if functional is None or gamma is None:
-        raise ConfigParseError("kind=survey needs [functional] and [gamma] sections", 0, 0)
-    tol = float(exp.get("tolerance", 1e-12))
-    tasks = [
-        (config_text, label, exp["seed"], tol, lo, hi)
-        for lo, hi in chunk_ranges(int(exp.get("nsamples", 1000)), SURVEY_CHUNK)
+    # workers rebuild the model, functional and gamma from the sections: closures do not pickle
+    sections, seed, tol, lo, hi = args
+    built = _build_from_sections(sections)
+    return [
+        survey_row(built["functional"], built["model"], built["gamma"], seed, i, tol) for i in range(lo, hi)
     ]
+
+
+def _run_survey(p, functional, sections, jobs, **_):
+    tol = p["tolerance"]
+    tasks = [(sections, p["seed"], tol, lo, hi) for lo, hi in chunk_ranges(p["nsamples"], SURVEY_CHUNK)]
     rows = [row for part in parallel_map(_survey_chunk, tasks, jobs) for row in part]
     result = SurveyResult(
         functional=functional.label, out_dim=functional.out_dim, tol=tol, rows=tuple(rows)
     )
-    _write_csv(os.path.join(out_dir, exp.get("out", "survey.csv")), result.to_csv(), prov)
-    threshold = float(exp.get("min_frequency", 0.0))
+    threshold = p["min_frequency"]
     passed = result.frequency >= threshold
     print(
         f"det-positivity frequency: {result.frequency:.6f} over {result.nsamples} samples "
         f"(threshold {threshold:g})"
     )
-    _write_json(
-        os.path.join(out_dir, exp.get("summary_out", "survey.json")),
-        {
-            "provenance": prov,
-            "functional": functional.label,
-            "frequency": result.frequency,
-            "nsamples": result.nsamples,
-            "pass": passed,
-        },
-    )
-    return passed
+    summary = {"functional": functional.label, "frequency": result.frequency, "nsamples": result.nsamples}
+    return passed, {"out": result.to_csv(), "summary_out": summary}
 
 
-def _run_identity(exp, prov, out_dir, model):
-    if exp.get("probe") == "laplace_zero":
+def _run_identity(p, model, **_):
+    if p["probe"] == "laplace_zero":
         # trivial smoke probe: f = 0 has both sides exactly 1
-        rep = laplace_check(
-            model, lambda ts, xs: np.zeros(len(ts)), int(exp.get("nsamples", 1000)), int(exp["seed"])
-        )
+        rep = laplace_check(model, lambda ts, xs: np.zeros(len(ts)), p["nsamples"], p["seed"])
         print(f"{'PASS' if rep.passed else 'FAIL'}  {rep.name}")
-        _write_json(
-            os.path.join(out_dir, exp.get("out", "identity.json")),
-            {"provenance": prov, "reports": [rep.to_dict()], "pass": rep.passed},
-        )
-        return rep.passed
-    scale = float(exp.get("scale", 1.0))
-    reports = standard_suite(seed=int(exp["seed"]), scale=scale)
+        return rep.passed, {"out": {"reports": [rep.to_dict()]}}
+    reports = standard_suite(seed=p["seed"], scale=p["scale"])
     frac = suite_pass_fraction(reports)
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
     print(f"pass fraction: {frac:.3f} over {len(reports)} checks")
-    passed = frac >= float(exp.get("min_pass_fraction", 0.95))
-    _write_json(
-        os.path.join(out_dir, exp.get("out", "identity.json")),
-        {
-            "provenance": prov,
-            "reports": [r.to_dict() for r in reports],
-            "pass_fraction": frac,
-            "pass": passed,
-        },
-    )
-    return passed
+    passed = frac >= p["min_pass_fraction"]
+    return passed, {"out": {"reports": [r.to_dict() for r in reports], "pass_fraction": frac}}
 
 
-def _run_chaos(cfg, model, exp, prov, out_dir):
-    seed = int(exp["seed"])
-    u = KERNELS[exp.get("u", "skew")]
-    v = KERNELS[exp.get("v", "square")]
+def _run_chaos(p, model, **_):
+    seed = p["seed"]
+    u, v = KERNELS[p["u"]], KERNELS[p["v"]]
     spec = diag_squares_gamma(model.dim)
-    n_cfgs = int(exp.get("nconfigs", 50))
     series_worst = 0.0
     product_worst = 0.0
-    for i in range(n_cfgs):
+    for i in range(p["nconfigs"]):
         configuration = sample_configuration(model, seed=seed + i)
         series_worst = max(
             series_worst, exp_series_check(configuration, model, u, t=0.12, n_max=12).residual
@@ -439,7 +371,7 @@ def _run_chaos(cfg, model, exp, prov, out_dir):
     gamma_worst = 0.0
     fu = {d: multiple_integral_functional(model, u, d) for d in (1, 2)}
     fv = {d: multiple_integral_functional(model, v, d) for d in (1, 2)}
-    for i in range(int(exp.get("ngamma", 10))):
+    for i in range(p["ngamma"]):
         configuration = sample_configuration(model, seed=seed + 1000 + i)
         for deg_i in (1, 2):
             for deg_j in (1, 2):
@@ -448,87 +380,162 @@ def _run_chaos(cfg, model, exp, prov, out_dir):
                 fd = carre_du_champ(pair, configuration, spec, mode="fd").matrix[0, 1]
                 gamma_worst = max(gamma_worst, abs(closed - fd) / (1.0 + abs(closed)))
     reports = [
-        orthogonality_mc(model, u, v, m, n, int(exp.get("nsamples", 200_000)), seed + 5000 + 3 * m + n)
+        orthogonality_mc(model, u, v, m, n, p["nsamples"], seed + 5000 + 3 * m + n)
         for m in (1, 2)
         for n in (1, 2)
     ]
     orth_ok = sum(r.passed for r in reports)
     passed = (
-        series_worst <= float(exp.get("series_tol", 1e-8))
-        and product_worst <= float(exp.get("product_tol", 1e-10))
-        and gamma_worst <= float(exp.get("gamma_tol", 1e-6))
+        series_worst <= p["series_tol"]
+        and product_worst <= p["product_tol"]
+        and gamma_worst <= p["gamma_tol"]
         and orth_ok >= len(reports) - 1
     )
     print(f"series residual (worst): {series_worst:.3e}")
     print(f"product-formula residual (worst): {product_worst:.3e}")
     print(f"chaos-gamma vs fd (worst relative): {gamma_worst:.3e}")
     print(f"orthogonality cells passed: {orth_ok}/{len(reports)}")
-    _write_json(
-        os.path.join(out_dir, exp.get("out", "chaos.json")),
-        {
-            "provenance": prov,
-            "series_residual": series_worst,
-            "product_residual": product_worst,
-            "gamma_agreement": gamma_worst,
-            "orthogonality": [r.to_dict() for r in reports],
-            "pass": passed,
-        },
-    )
-    return passed
+    summary = {
+        "series_residual": series_worst,
+        "product_residual": product_worst,
+        "gamma_agreement": gamma_worst,
+        "orthogonality": [r.to_dict() for r in reports],
+    }
+    return passed, {"out": summary}
 
 
-def _run_density(cfg, model, functional, exp, prov, out_dir):
-    if functional is None:
-        raise ConfigParseError("kind=density needs a [functional] section", 0, 0)
-    seed = int(exp["seed"])
-    nsamples = int(exp.get("nsamples", 4000))
+def _run_density(p, model, functional, **_):
+    seed, nsamples = p["seed"], p["nsamples"]
     curve = kde(functional, model, nsamples, seed=seed)
     ok = curve.degenerate or abs(curve.integral - 1.0) <= 1e-3
-    if not curve.degenerate:
-        _write_csv(os.path.join(out_dir, exp.get("out", "density_kde.csv")), curve.to_csv(), prov)
+    files = {} if curve.degenerate else {"out": curve.to_csv()}
     if functional.out_dim == 1:
-        u_grid = np.linspace(0.5, float(exp.get("u_max", 40.0)), 40)
-        e = ecf(functional, model, min(nsamples, 20000), u_grid, seed=seed + 1)
-        _write_csv(os.path.join(out_dir, exp.get("ecf_out", "density_ecf.csv")), e.to_csv(), prov)
+        u_grid = np.linspace(0.5, p["u_max"], 40)
+        files["ecf_out"] = ecf(functional, model, min(nsamples, 20000), u_grid, seed=seed + 1).to_csv()
     print(f"kde integral: {curve.integral:.6f} (degenerate: {curve.degenerate})")
-    _write_json(
-        os.path.join(out_dir, exp.get("summary_out", "density.json")),
-        {
-            "provenance": prov,
-            "kde_integral": curve.integral,
-            "degenerate": curve.degenerate,
-            "bandwidth": list(curve.bandwidth),
-            "pass": ok,
-        },
-    )
-    return ok
+    files["summary_out"] = {
+        "kde_integral": curve.integral,
+        "degenerate": curve.degenerate,
+        "bandwidth": list(curve.bandwidth),
+    }
+    return ok, files
 
 
-def _run_rajchman(cfg, model, exp, prov, out_dir):
+def _run_rajchman(p, model, **_):
     if model.family != "atomic-dyadic":
         model = dyadic_model(horizon=model.horizon)
-    demo = rajchman_demo(
-        model, int(exp.get("k_max", 8)), int(exp.get("nsamples", 0)), int(exp["seed"])
-    )
+    demo = rajchman_demo(model, p["k_max"], p["nsamples"], p["seed"])
     closed, limit = np.array(demo["closed_modulus"]), demo["limit"]
-    tol = float(exp.get("tolerance", 2e-3))
-    passed = bool(np.all(np.abs(closed - limit) <= tol))
+    passed = bool(np.all(np.abs(closed - limit) <= p["tolerance"]))
     body = "k,u,closed_modulus\n" + "".join(
         f"{k},{2.0**k * math.pi:.17g},{c:.17g}\n" for k, c in zip(demo["u_exponents"], closed)
     )
-    _write_csv(os.path.join(out_dir, exp.get("out", "rajchman.csv")), body, prov)
     print(f"constant modulus {limit:.6f}; max deviation {np.abs(closed - limit).max():.2e}")
-    _write_json(
-        os.path.join(out_dir, exp.get("summary_out", "rajchman.json")),
-        {
-            "provenance": prov,
-            "closed_modulus": demo["closed_modulus"],
-            "mc_modulus": demo.get("mc_modulus"),
-            "limit": limit,
-            "pass": passed,
+    summary = {
+        "closed_modulus": demo["closed_modulus"],
+        "mc_modulus": demo.get("mc_modulus"),
+        "limit": limit,
+    }
+    return passed, {"out": body, "summary_out": summary}
+
+
+#: The experiment contract, by kind:
+#:   run      runner(params, *, model, functional, gamma, sections, jobs) -> (pass, artifacts)
+#:   needs    the sections it needs besides [model]
+#:   params   the [experiment] keys it reads besides kind and seed, each with its
+#:            default; a key's type is its default's (None: an optional number),
+#:            and the keys ending in "out" name artifact files
+#:   low      the least value of each count
+#:   choices  the allowed values of each named-choice key (others: exit 3)
+EXPERIMENTS: dict[str, dict] = {
+    "gamma": {
+        "run": _run_gamma,
+        "needs": ("functional", "gamma"),
+        # tolerance None: criterion 1's tolerance for the functional
+        "params": {"fixture": None, "tolerance": None, "out": "gamma.json"},
+        "choices": {"fixture": FIXTURE_CONFIGS},
+    },
+    "survey": {
+        "run": _run_survey,
+        "needs": ("functional", "gamma"),
+        "params": {
+            "nsamples": 1000, "tolerance": 1e-12, "min_frequency": 0.0,
+            "out": "survey.csv", "summary_out": "survey.json",
         },
-    )
-    return passed
+        "low": {"nsamples": 1},
+    },
+    "identity": {
+        "run": _run_identity,
+        # probe None: the 40-check suite; nsamples is the probe's
+        "params": {
+            "probe": None, "nsamples": 1000, "scale": 1.0, "min_pass_fraction": 0.95,
+            "out": "identity.json",
+        },
+        "low": {"nsamples": 1},
+        "choices": {"probe": ("laplace_zero",)},
+    },
+    "chaos": {
+        "run": _run_chaos,
+        "params": {
+            "u": "skew", "v": "square", "nconfigs": 50, "ngamma": 10, "nsamples": 200_000,
+            "series_tol": 1e-8, "product_tol": 1e-10, "gamma_tol": 1e-6, "out": "chaos.json",
+        },
+        "low": {"nconfigs": 0, "ngamma": 0, "nsamples": 1},
+        "choices": {"u": KERNELS, "v": KERNELS},
+    },
+    "density": {
+        "run": _run_density,
+        "needs": ("functional",),
+        "params": {
+            "nsamples": 4000, "u_max": 40.0,
+            "out": "density_kde.csv", "ecf_out": "density_ecf.csv", "summary_out": "density.json",
+        },
+        "low": {"nsamples": 1},
+    },
+    "rajchman": {
+        "run": _run_rajchman,
+        # nsamples 0: no Monte Carlo overlay
+        "params": {
+            "k_max": 8, "nsamples": 0, "tolerance": 2e-3,
+            "out": "rajchman.csv", "summary_out": "rajchman.json",
+        },
+        "low": {"k_max": 0, "nsamples": 0},
+    },
+}
+
+
+def _experiment_params(sec: Section, seed_flag: int | None) -> tuple[str, dict]:
+    """The kind and its parameters: the table's defaults, then the [experiment] keys, then --seed."""
+    kind = sec.get("kind")
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
+        raise RegistryMiss(f"unknown experiment kind {kind!r}", *sec.pos.get("kind", sec.at))
+    spec = EXPERIMENTS[kind]
+    defaults = {"seed": 0, **spec["params"]}
+    low = {"seed": 0, **spec.get("low", {})}
+    choices = spec.get("choices", {})
+    given = {key: (value, sec.pos[key]) for key, value in sec.items() if key != "kind"}
+    if seed_flag is not None:
+        given["seed"] = (seed_flag, ())
+    params = dict(defaults)
+    for key, (value, at) in given.items():
+        if key not in defaults:
+            raise ConfigParseError(
+                f"kind={kind} reads no [experiment] key {key!r} (it reads: kind, {', '.join(defaults)})", *at
+            )
+        if key in choices:
+            if not isinstance(value, str) or value not in choices[key]:
+                raise RegistryMiss(f"unknown {key} {value!r} (known: {', '.join(sorted(choices[key]))})", *at)
+        else:
+            cast = float if defaults[key] is None else type(defaults[key])
+            try:
+                value = cast(value)
+            except (TypeError, ValueError, OverflowError):
+                noun = "an integer" if cast is int else "a number"
+                raise ConfigParseError(f"[experiment] {key} = {value!r} is not {noun}", *at) from None
+            if key in low and value < low[key]:
+                raise ConfigParseError(f"{key} must be >= {low[key]}, got {value}", *at)
+        params[key] = value
+    return kind, params
 
 
 # ---------------------------------------------------------------------------
@@ -544,73 +551,57 @@ def cmd_run(args) -> int:
     try:
         cfg = parse_config(config_text)
         if "experiment" not in cfg:
-            raise ConfigParseError("missing [experiment] section", 0, 0)
-        exp = dict(cfg["experiment"])
-        kind = exp.get("kind")
-        if kind not in EXPERIMENTS:
-            raise RegistryMiss(f"unknown experiment kind {kind!r}")
-        _reject_unknown(exp, EXPERIMENT_KEYS[kind], "experiment")
-        if args.seed is not None:
-            exp["seed"] = args.seed
-        exp.setdefault("seed", 0)
-        _coerce_numbers(exp)
-        if exp["seed"] < 0:
-            raise ConfigParseError(f"seed must be >= 0, got {exp['seed']}", 0, 0)
+            raise ConfigParseError("missing [experiment] section")
+        kind, params = _experiment_params(cfg["experiment"], args.seed)
+        spec = EXPERIMENTS[kind]
         if args.functional is not None:
-            cfg.setdefault("functional", {})["label"] = args.functional
-        model, functional, gamma = _build_from_sections(cfg)
-        prov = _provenance(config_text, exp["seed"])
-        out_dir = args.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        if kind == "gamma":
-            ok = _run_gamma(cfg, model, functional, gamma, exp, prov, out_dir)
-        elif kind == "survey":
-            ok = _run_survey(
-                cfg, config_text, model, functional, gamma, exp, prov, out_dir, args.jobs,
-                label=args.functional,
-            )
-        elif kind == "identity":
-            ok = _run_identity(exp, prov, out_dir, model)
-        elif kind == "chaos":
-            ok = _run_chaos(cfg, model, exp, prov, out_dir)
-        elif kind == "density":
-            ok = _run_density(cfg, model, functional, exp, prov, out_dir)
-        else:
-            ok = _run_rajchman(cfg, model, exp, prov, out_dir)
-    except ConfigParseError as exc:
-        print(f"config error at line {exc.line}, column {exc.col}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            fsec = cfg.setdefault("functional", Section())
+            fsec["label"] = args.functional
+            fsec.pos.pop("label", None)
+        if "model" not in cfg:
+            raise ConfigParseError("missing [model] section")
+        built = _build_from_sections(cfg)
+        missing = [f"[{name}]" for name in spec.get("needs", ()) if built[name] is None]
+        if missing:
+            raise ConfigParseError(f"kind={kind} needs {' and '.join(missing)}")
+        ok, files = spec["run"](params, sections=cfg, jobs=args.jobs, **built)
     except RegistryMiss as exc:
-        print(f"registry miss: {exc}", file=sys.stderr)
+        print(f"registry miss{exc.where()}: {exc}", file=sys.stderr)
         return EXIT_REGISTRY
-    except KeyError as exc:
-        print(f"registry miss: {exc}", file=sys.stderr)
-        return EXIT_REGISTRY
+    except ConfigParseError as exc:
+        print(f"config error{exc.where()}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except DOMAIN_ERRORS as exc:
         message = " ".join(str(exc).split())
         print(f"invalid value ({type(exc).__name__}): {message}", file=sys.stderr)
         return EXIT_CONFIG
+    _write_artifacts(args.out_dir, files, ok, params, config_text)
     print("RESULT: " + ("PASS" if ok else "FAIL"))
     return EXIT_OK if ok else EXIT_FAIL
 
 
+REGISTRIES = {
+    "models": MODEL_FAMILIES,
+    "functionals": FUNCTIONAL_BUILDERS,
+    "gammas": GAMMA_BUILDERS,
+    "experiments": EXPERIMENTS,
+}
+
+
 def cmd_list(args) -> int:
-    reg = args.registry
-    if reg == "models":
-        for name in sorted(MODEL_FAMILIES):
-            print(f"{name:14s} {MODEL_FAMILIES[name]['params']}")
-    elif reg == "functionals":
-        for name in sorted(FUNCTIONAL_BUILDERS):
-            print(f"{name:14s} {FUNCTIONAL_BUILDERS[name]['params']}")
-    elif reg == "gammas":
-        for name in sorted(GAMMA_BUILDERS):
-            print(f"{name:14s} {GAMMA_BUILDERS[name]['params']}")
-    elif reg == "experiments":
-        for name in EXPERIMENTS:
-            print(name)
-    else:
+    registry = REGISTRIES.get(args.registry)
+    if registry is None:
         print(f"unknown registry {args.registry!r}", file=sys.stderr)
         return EXIT_REGISTRY
+    for name in sorted(registry):
+        params = registry[name]["params"]
+        if isinstance(params, dict):  # an experiment's keys, defaults and allowed values
+            choices = registry[name].get("choices", {})
+            params = ", ".join(
+                f"{key}={default}" + (f" ({'|'.join(sorted(choices[key]))})" if key in choices else "")
+                for key, default in params.items()
+            )
+        print(f"{name:14s} {params}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ which is what unambiguous support membership for add/remove requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -141,16 +141,6 @@ class Configuration:
     @property
     def n_atoms(self) -> int:
         return int(self.times.size)
-
-    def atom(self, i: int) -> Atom:
-        return Atom(self.times[i], self.marks[i])
-
-    def __iter__(self) -> Iterator[Atom]:
-        for i in range(self.n_atoms):
-            yield self.atom(i)
-
-    def __len__(self) -> int:
-        return self.n_atoms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
@@ -284,8 +274,17 @@ class BatchedConfigurations:
         )
 
     def sum_per_sample(self, values: np.ndarray) -> np.ndarray:
-        """Sum per-atom values (total,) into per-sample totals (nsamples,)."""
-        return np.bincount(self.sample_index, weights=values, minlength=self.nsamples)
+        """Sum per-atom values (total,) or (total, k) into per-sample totals (nsamples,) or (nsamples, k).
+
+        Columns share one bincount over (sample, column) bins, which adds
+        each bin's atoms in atom order, as a bincount per column does.
+        """
+        if values.ndim == 1:
+            return np.bincount(self.sample_index, weights=values, minlength=self.nsamples)
+        k = values.shape[1]
+        bins = (self.sample_index[:, None] * k + np.arange(k)).ravel()
+        sums = np.bincount(bins, weights=values.ravel(), minlength=self.nsamples * k)
+        return sums.reshape(self.nsamples, k)
 
 
 def sample_batch(model: IntensityModel, nsamples: int, seed: int, *path: int) -> BatchedConfigurations:

@@ -257,16 +257,9 @@ def mark_identities_check(
     if fv.min() <= 0.0 or fv.max() > 1.0 + 1e-12:
         raise ValueError(f"{name}: F must take values in (0, 1]")
     fm = np.asarray(F_mean(batch.times, batch.marks), dtype=float)
-    idx = batch.sample_index
-    log_sums = np.empty((nsamples, n_inner))
-    plain_sums = np.empty((nsamples, n_inner))
-    logs = np.log(fv)
-    for rep in range(n_inner):
-        log_sums[:, rep] = np.bincount(idx, weights=logs[:, rep], minlength=nsamples)
-        plain_sums[:, rep] = np.bincount(idx, weights=fv[:, rep], minlength=nsamples)
-    lhs1 = np.exp(log_sums).mean(axis=1)
-    rhs1 = np.exp(np.bincount(idx, weights=np.log(fm), minlength=nsamples))
-    lhs2 = plain_sums.mean(axis=1)
+    lhs1 = np.exp(batch.sum_per_sample(np.log(fv))).mean(axis=1)
+    rhs1 = np.exp(batch.sum_per_sample(np.log(fm)))
+    lhs2 = batch.sum_per_sample(fv).mean(axis=1)
     rhs2 = batch.sum_per_sample(fm)
     return (
         _paired_report(f"{name}[product]", lhs1, rhs1),

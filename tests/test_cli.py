@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,9 @@ class TestExitCodes:
             ("seed = 7", "seed = abc", "seed = 'abc' is not an integer"),
             ("seed = 7", "seed = -1", "seed must be >= 0"),
             ("fixture = exp_pair", "fixture = area", "EngineError"),
+            ("fixture = exp_pair", "nsamples = 5", "line 20, column 1: kind=gamma reads no [experiment] key"),
+            ("horizon = 1.0", "horizon = abc", "line 2, column 1: bad [model] parameters"),
+            ("[gamma]\nlabel = diag_x2\ndim = 1\n", "", "config error: kind=gamma needs [gamma]"),
         ],
     )
     def test_invalid_values_exit_2_with_one_line(self, tmp_path, capsys, old, new, error):
@@ -223,6 +228,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert error in err
         assert err.count("\n") == 1
+        assert "line 0" not in err
+
+    @pytest.mark.parametrize(
+        "kind,extra,error",
+        [
+            ("density", "nsamples = 0", "nsamples must be >= 1"),
+            ("identity", 'probe = "laplace_zero"\nnsamples = 0', "nsamples must be >= 1"),
+            ("chaos", "nsamples = 0", "nsamples must be >= 1"),
+            ("rajchman", "k_max = -1", "k_max must be >= 0"),
+        ],
+    )
+    def test_counts_below_their_bound_exit_2(self, tmp_path, capsys, kind, extra, error):
+        path = tmp_path / "count.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 5.0\n\n"
+            "[functional]\nlabel = path_eval\nt = 1.0\n\n"
+            f"[experiment]\nkind = {kind}\nseed = 1\n{extra}\n"
+        )
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert error in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_probe_exits_3_without_running(self, tmp_path, capsys):
+        path = tmp_path / "probe.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+            '[experiment]\nkind = identity\nseed = 1\nprobe = "nosuch"\n'
+        )
+        assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "line 9, column 1: unknown probe 'nosuch'" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "identity.json").exists()
+
+    def test_unknown_key_reports_its_line(self, tmp_path, capsys):
+        path = tmp_path / "key.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+            "[experiment]\nkind = chaos\nseed = 1\n  wat = 3\n"
+        )
+        assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 9, column 3" in err and "'wat'" in err
 
     @pytest.mark.parametrize("nsamples", [0, -5])
     def test_survey_without_samples_exits_2(self, tmp_path, capsys, nsamples):
@@ -299,6 +348,7 @@ class TestListAndFixtures:
         out = capsys.readouterr().out
         for kind in ("gamma", "survey", "identity", "chaos", "density", "rajchman"):
             assert kind in out
+        assert "nsamples=1000, tolerance=1e-12" in out and "out=gamma.json" in out
 
     def test_list_unknown_registry_exits_3(self, capsys):
         assert main(["list", "wat"]) == 3
@@ -317,3 +367,14 @@ class TestListAndFixtures:
         np.testing.assert_allclose(cfg.marks[:, 0], [0.5, -0.2])
         gou = read_configuration((tmp_path / "fixture_gou.txt").read_text())
         assert gou.marks[0, 0] == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+def test_readme_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```\n(.*?)```", readme, re.S)
+    (config,) = [b for b in blocks if "[experiment]" in b]
+    path = tmp_path / "readme.cfg"
+    path.write_text(config)
+    assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
+    payload = json.loads((tmp_path / "gamma.json").read_text())
+    np.testing.assert_allclose(payload["matrix"], [[0.29, 0.26], [0.26, 0.25]], atol=1e-12)

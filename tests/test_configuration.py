@@ -214,6 +214,15 @@ class TestIntegrals:
         sq = sums**2
         assert abs(sq.mean() - ref) <= 4.0 * sq.std(ddof=1) / math.sqrt(n)
 
+    def test_sum_per_sample_columns_match_one_column_at_a_time(self):
+        model = uniform_model(1.0, rate=3.0)
+        batch = sample_batch(model, 2_000, seed=34)
+        vals = np.log1p(-0.5 * np.random.default_rng(34).random((batch.times.size, 32)))
+        sums = batch.sum_per_sample(vals)
+        assert sums.shape == (2_000, 32)
+        for k in range(32):
+            assert sums[:, k].tobytes() == batch.sum_per_sample(vals[:, k]).tobytes()
+
     def test_independent_windows(self):
         model = uniform_model(1.0, rate=3.0)
         n = 100_000
