@@ -12,9 +12,14 @@ the stable descending recurrence evaluates; the exponential generating
 series and the product formula then hold pathwise and serve as tests, not
 definitions.
 
+Lending a particle at mark x turns I_n(u tensor n) into I_n + n u(x) I_(n-1)
+(the difference operator D_x I_n = n I_(n-1)), so Gamma[I_i, I_j] is the
+engine's carre_du_champ with that closed derivative.
+
 The shipped bottom semigroup is keep-or-resample: each mark is kept with
-probability exp(-t) or redrawn from the normalized jump measure.  It is
-symmetric, exactly simulatable, and has the closed form
+probability exp(-t) or redrawn from the normalized jump measure, and
+ResamplingSemigroup.move is the one draw of that motion.  It is symmetric,
+exactly simulatable, and has the closed form
 p_t u = exp(-t) u + (1 - exp(-t)) mean_sigma(u), so its second quantization
 can be verified without nested approximation error.
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +39,8 @@ from .configuration import (
     sample_batch,
 )
 from .diagnostics import EstimatorReport, _mean_report, _paired_report, _standard_error
-from .functionals import Functional, with_fd_derivative
-from .lent_particle import GammaSpec
+from .functionals import Functional, stack_functionals
+from .lent_particle import GammaSpec, carre_du_champ
 from .rng import chunk_ranges, substream
 
 __all__ = [
@@ -63,6 +68,10 @@ __all__ = [
 ]
 
 MAX_DEGREE = 8
+
+# samples per block of the two batch checks: block k draws from stream (seed, tag, k)
+MEHLER_BLOCK = 20000
+SECOND_QUANTIZATION_BLOCK = 10000
 
 
 class ChaosError(ValueError):
@@ -155,10 +164,6 @@ def _i_n_from_e(e: np.ndarray, nu_u: float, n: int) -> np.ndarray:
     return out
 
 
-def _nu_values(model: IntensityModel, factors: Sequence[MarkFunction]) -> np.ndarray:
-    return np.array([model.nu_integrate(f) for f in factors])
-
-
 def multiple_integral_equal(
     cfg: Configuration,
     model: IntensityModel,
@@ -179,7 +184,6 @@ def multiple_integral(
     cfg: Configuration,
     model: IntensityModel,
     kernel: ProductKernel,
-    nu_values: Sequence[float] | None = None,
 ) -> float:
     """I_n of a product kernel; distinct factors go through a subset DP.
 
@@ -190,9 +194,8 @@ def multiple_integral(
     n = kernel.degree
     factors = kernel.factors
     if all(f is factors[0] for f in factors):
-        nu0 = None if nu_values is None else float(nu_values[0])
-        return multiple_integral_equal(cfg, model, factors[0], n, nu_u=nu0)
-    nus = np.asarray(nu_values, dtype=float) if nu_values is not None else _nu_values(model, factors)
+        return multiple_integral_equal(cfg, model, factors[0], n)
+    nus = np.array([model.nu_integrate(f) for f in factors])
     vals = (
         np.vstack([f(cfg.marks) for f in factors]) if cfg.n_atoms else np.zeros((n, 0))
     )
@@ -226,13 +229,22 @@ def multiple_integral(
 def multiple_integral_functional(
     model: IntensityModel, u: MarkFunction, n: int, label: str | None = None
 ) -> Functional:
-    """Wrap cfg -> I_n(u tensor n) as a functional for the derivative oracle."""
+    """cfg -> I_n(u tensor n) with the closed mark derivative n I_(n-1)(cfg) grad u(y).
+
+    A kernel without a gradient raises ChaosError in closed mode.
+    """
     nu_u = model.nu_integrate(u)
 
     def value(cfg: Configuration) -> np.ndarray:
         return np.array([multiple_integral_equal(cfg, model, u, n, nu_u=nu_u)])
 
-    return with_fd_derivative(label or f"I_{n}[{u.label}]", 1, model.dim, value)
+    def add_derivative(cfg: Configuration, t: float, x: np.ndarray) -> np.ndarray:
+        if n == 0:
+            return np.zeros((1, model.dim))
+        lower = multiple_integral_equal(cfg, model, u, n - 1, nu_u=nu_u)
+        return n * lower * u.gradient(np.atleast_2d(x))
+
+    return Functional(label or f"I_{n}[{u.label}]", 1, model.dim, value, add_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +380,8 @@ def orthogonality_mc(
 # ---------------------------------------------------------------------------
 
 def _gamma_uv(spec: GammaSpec, u: MarkFunction, v: MarkFunction, marks: np.ndarray) -> np.ndarray:
-    gu = u.gradient(marks)
-    gv = v.gradient(marks)
-    out = np.empty(marks.shape[0])
-    for a in range(marks.shape[0]):
-        out[a] = float(gu[a] @ spec.alpha(marks[a]) @ gv[a])
-    return out
-
-
-def _reduced_integrals(vals: np.ndarray, full: np.ndarray, order: int) -> np.ndarray:
-    """I_k with one atom removed, for every atom, from the full-path values.
-
-    Uses the one-atom update I_k(w) = I_k(w - atom) + k u(atom) I_{k-1}(w - atom)
-    solved downward from I_0 = 1: shape (n_atoms, order + 1).
-    """
-    n = vals.size
-    out = np.empty((n, order + 1))
-    out[:, 0] = 1.0
-    for k in range(1, order + 1):
-        out[:, k] = full[k] - k * vals * out[:, k - 1]
-    return out
+    alphas = np.reshape([spec.alpha(x) for x in marks], (len(marks), spec.dim, spec.dim))
+    return np.einsum("ai,aij,aj->a", u.gradient(marks), alphas, v.gradient(marks))
 
 
 def _full_integrals(cfg: Configuration, u: MarkFunction, order: int, nu_u: float) -> tuple[np.ndarray, np.ndarray]:
@@ -406,32 +400,24 @@ def chaos_gamma_closed(
     j: int,
     spec: GammaSpec,
 ) -> float:
-    """Closed-form carre du champ of the pair (I_i(u tensor i), I_j(v tensor j)).
+    """Carre du champ of the pair (I_i(u tensor i), I_j(v tensor j)) by the engine.
 
-    Lending a particle at an atom turns each multiple integral into i times
-    the order-(i-1) integral with the free argument at the atom and the
-    remaining arguments off that atom, so
+    Lending the particle at an atom gives each multiple integral the closed
+    mark derivative of multiple_integral_functional, so the entry is
 
         Gamma = i j sum_atoms I_{i-1}(u; w minus atom) I_{j-1}(v; w minus atom)
-                          gamma[u, v](mark).
+                          gamma[u, v](mark),
 
-    The inner integrals on the reduced configurations are recovered from
-    the full-configuration ones by the one-atom downward recursion; the
+    the off-diagonal entry of carre_du_champ on the stacked pair.  The
     alternating polynomial form over the full configuration (see
     chaos_gamma_alternating) telescopes to the same value.
     """
     if max(i, j) > MAX_DEGREE or min(i, j) < 1:
         raise ChaosError("degrees must lie in 1..8")
-    if cfg.n_atoms == 0:
-        return 0.0
-    nu_u = model.nu_integrate(u)
-    nu_v = model.nu_integrate(v)
-    uvals, ufull = _full_integrals(cfg, u, i - 1, nu_u)
-    vvals, vfull = _full_integrals(cfg, v, j - 1, nu_v)
-    iu = _reduced_integrals(uvals, ufull, i - 1)[:, i - 1]
-    iv = _reduced_integrals(vvals, vfull, j - 1)[:, j - 1]
-    gam = _gamma_uv(spec, u, v, cfg.marks)
-    return float(i * j * np.sum(iu * iv * gam))
+    pair = stack_functionals(
+        [multiple_integral_functional(model, u, i), multiple_integral_functional(model, v, j)]
+    )
+    return float(carre_du_champ(pair, cfg, spec).matrix[0, 1])
 
 
 def chaos_gamma_alternating(
@@ -484,8 +470,15 @@ class ResamplingSemigroup:
             raise ChaosError("semigroup time must be >= 0")
         return math.exp(-t)
 
-    def resample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.model.sample_marks(rng, n)
+    def move(self, rng: np.random.Generator, marks: np.ndarray, t: float, n_inner: int) -> np.ndarray:
+        """n_inner independent motions of the marks (n, d), shape (n, n_inner, d).
+
+        Draws the keep mask (n, n_inner), then n * n_inner fresh marks in row order.
+        """
+        n = marks.shape[0]
+        keep = rng.random((n, n_inner)) < self.keep_prob(t)
+        fresh = self.model.sample_marks(rng, n * n_inner).reshape(n, n_inner, -1)
+        return np.where(keep[:, :, None], marks[:, None, :], fresh)
 
 
 def pt_apply(sg: ResamplingSemigroup, u: MarkFunction, t: float) -> MarkFunction:
@@ -537,19 +530,11 @@ def mehler_apply(
         raise ChaosError("n_inner must be >= 1")
     if t == 0.0:
         return float(np.atleast_1d(F.value(cfg))[0]), 0.0
-    q = sg.keep_prob(t)
-    rng = substream(seed)
+    moved = sg.move(substream(seed), cfg.marks, t, n_inner)
     vals = np.empty(n_inner)
     for rep in range(n_inner):
-        if cfg.n_atoms:
-            keep = rng.random(cfg.n_atoms) < q
-            marks = np.where(keep[:, None], cfg.marks, sg.resample(rng, cfg.n_atoms))
-            moved = Configuration(
-                cfg.horizon, cfg.dim, cfg.times, marks, intensity_ref=cfg.intensity_ref
-            )
-        else:
-            moved = cfg
-        vals[rep] = float(np.atleast_1d(F.value(moved))[0])
+        moved_cfg = Configuration(cfg.horizon, cfg.dim, cfg.times, moved[:, rep], cfg.intensity_ref)
+        vals[rep] = float(np.atleast_1d(F.value(moved_cfg))[0])
     return float(vals.mean()), _standard_error(vals)
 
 
@@ -560,7 +545,6 @@ def mehler_exponential_check(
     nsamples: int,
     n_inner: int,
     seed: int,
-    block: int = 20000,
 ) -> EstimatorReport:
     """Exponential intertwining: inner-MC of prod(1 + g) after per-atom motion
     against prod(1 + p_t g) on the same configuration, paired per sample.
@@ -568,11 +552,10 @@ def mehler_exponential_check(
     Requires -1/2 <= g <= 0 so both sides stay in (0, 1].
     """
     model = sg.model
-    q = sg.keep_prob(t)
     ptg = pt_apply(sg, g, t)
     lhs = np.empty(nsamples)
     rhs = np.empty(nsamples)
-    for blk, (lo, hi) in enumerate(chunk_ranges(nsamples, block)):
+    for blk, (lo, hi) in enumerate(chunk_ranges(nsamples, MEHLER_BLOCK)):
         batch = sample_batch(model, hi - lo, seed, 101, blk)
         rng = substream(seed, 202, blk)
         total = batch.times.size
@@ -582,11 +565,8 @@ def mehler_exponential_check(
         log_pt = np.log1p(ptg(batch.marks)) if total else np.zeros(0)
         rhs[lo:hi] = np.exp(batch.sum_per_sample(log_pt))
         if total:
-            keep = rng.random((total, n_inner)) < q
-            res_marks = sg.resample(rng, total * n_inner).reshape(total, n_inner, -1)
-            gres = g(res_marks.reshape(-1, model.dim)).reshape(total, n_inner)
-            moved = np.where(keep, gv[:, None], gres)
-            logs = np.log1p(moved)
+            moved = sg.move(rng, batch.marks, t, n_inner)
+            logs = np.log1p(g(moved.reshape(-1, model.dim)).reshape(total, n_inner))
             # one row per rep: the mean then adds the reps one after another, where a
             # pairwise mean along each sample's row would round the last bit differently
             per_rep = np.ascontiguousarray(batch.sum_per_sample(logs).T)
@@ -604,7 +584,6 @@ def second_quantization_check(
     nsamples: int,
     n_inner: int,
     seed: int,
-    block: int = 10000,
 ) -> EstimatorReport:
     """Chaos-wise action of the lifted semigroup.
 
@@ -615,12 +594,11 @@ def second_quantization_check(
     if n > 6:
         raise ChaosError("second-quantization check ships for n <= 6")
     model = sg.model
-    q = sg.keep_prob(t)
     nu_u = model.nu_integrate(u)
     ptu = pt_apply(sg, u, t)
     nu_ptu = model.nu_integrate(ptu)
     diffs = np.empty(nsamples)
-    for blk, (lo, hi) in enumerate(chunk_ranges(nsamples, block)):
+    for blk, (lo, hi) in enumerate(chunk_ranges(nsamples, SECOND_QUANTIZATION_BLOCK)):
         m = hi - lo
         batch = sample_batch(model, m, seed, 303, blk)
         rng = substream(seed, 404, blk)
@@ -628,14 +606,10 @@ def second_quantization_check(
         # reference side on the unmoved configurations
         ref = multiple_integral_batch(batch, ptu, nu_ptu, n)
         if total:
-            keep = rng.random((total, n_inner)) < q
-            res = sg.resample(rng, total * n_inner).reshape(total, n_inner, -1)
-            ures = u(res.reshape(-1, model.dim)).reshape(total, n_inner)
-            uv = u(batch.marks)
-            moved = np.where(keep, uv[:, None], ures)
+            moved = sg.move(rng, batch.marks, t, n_inner)
             # one group per (sample, rep)
             flat_idx = (batch.sample_index[:, None] * n_inner + np.arange(n_inner)[None, :]).ravel()
-            i_in = _grouped_i_n(flat_idx, moved.ravel(), m * n_inner, nu_u, n)
+            i_in = _grouped_i_n(flat_idx, u(moved.reshape(-1, model.dim)), m * n_inner, nu_u, n)
             inner_mean = i_in.reshape(m, n_inner).mean(axis=1)
         else:
             inner_mean = np.full(m, (-nu_u) ** n)

@@ -32,7 +32,6 @@ from . import __version__
 from .chaos import (
     ChaosError,
     MarkFunction,
-    chaos_gamma_closed,
     exp_series_check,
     multiple_integral_functional,
     orthogonality_mc,
@@ -371,14 +370,13 @@ def _run_chaos(p, model, **_):
     gamma_worst = 0.0
     fu = {d: multiple_integral_functional(model, u, d) for d in (1, 2)}
     fv = {d: multiple_integral_functional(model, v, d) for d in (1, 2)}
+    pairs = [stack_functionals([fu[deg_i], fv[deg_j]]) for deg_i in (1, 2) for deg_j in (1, 2)]
     for i in range(p["ngamma"]):
         configuration = sample_configuration(model, seed=seed + 1000 + i)
-        for deg_i in (1, 2):
-            for deg_j in (1, 2):
-                closed = chaos_gamma_closed(configuration, model, u, v, deg_i, deg_j, spec)
-                pair = stack_functionals([fu[deg_i], fv[deg_j]])
-                fd = carre_du_champ(pair, configuration, spec, mode="fd").matrix[0, 1]
-                gamma_worst = max(gamma_worst, abs(closed - fd) / (1.0 + abs(closed)))
+        for pair in pairs:
+            closed = carre_du_champ(pair, configuration, spec, mode="closed").matrix[0, 1]
+            fd = carre_du_champ(pair, configuration, spec, mode="fd").matrix[0, 1]
+            gamma_worst = max(gamma_worst, abs(closed - fd) / (1.0 + abs(closed)))
     reports = [
         orthogonality_mc(model, u, v, m, n, p["nsamples"], seed + 5000 + 3 * m + n)
         for m in (1, 2)
@@ -471,7 +469,8 @@ EXPERIMENTS: dict[str, dict] = {
             "probe": None, "nsamples": 1000, "scale": 1.0, "min_pass_fraction": 0.95,
             "out": "identity.json",
         },
-        "low": {"nsamples": 1},
+        # scale 0: the floor sample count of every check
+        "low": {"nsamples": 1, "scale": 0},
         "choices": {"probe": ("laplace_zero",)},
     },
     "chaos": {
@@ -528,6 +527,8 @@ def _experiment_params(sec: Section, seed_flag: int | None) -> tuple[str, dict]:
         else:
             cast = float if defaults[key] is None else type(defaults[key])
             try:
+                if cast is int and isinstance(value, float) and not value.is_integer():
+                    raise ValueError(value)
                 value = cast(value)
             except (TypeError, ValueError, OverflowError):
                 noun = "an integer" if cast is int else "a number"

@@ -380,17 +380,16 @@ def compensated_integrate(
     model: IntensityModel,
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     time_dependent: bool = False,
-    n_time_nodes: int = 64,
 ) -> float:
     """(N - nu)(f) for the truncated intensity nu = dt x sigma.
 
     Time-homogeneous f costs one sigma quadrature; time-dependent f uses a
-    Gauss-Legendre rule in time on top of the sigma quadrature.
+    64-node Gauss-Legendre rule in time on top of the sigma quadrature.
     """
     jump_part = integrate(cfg, f)
     try:
         if time_dependent:
-            nodes, weights = np.polynomial.legendre.leggauss(n_time_nodes)
+            nodes, weights = np.polynomial.legendre.leggauss(64)
             ts = 0.5 * model.horizon * (nodes + 1.0)
             ws = 0.5 * model.horizon * weights
             comp = sum(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .configuration import (
     remove_index,
     sample_batch,
 )
-from .functionals import Functional
+from .functionals import Functional, FunctionalError
 from .rng import substream
 
 __all__ = [
@@ -180,12 +180,13 @@ def duality_check(
     for i in range(nsamples):
         cfg = batch.config(i)
         g_atoms = np.asarray(g(cfg.marks), dtype=float) if cfg.n_atoms else np.zeros(0)
+        g_cfg = _scalar(G, cfg)
         lhs_p[i] = lam * _scalar(G, add_particle(cfg, Atom(taus[i], chis[i]))) * g_extra[i]
-        rhs_p[i] = _scalar(G, cfg) * float(g_atoms.sum())
+        rhs_p[i] = g_cfg * float(g_atoms.sum())
         lhs_m[i] = sum(
             _scalar(G, remove_index(cfg, a)) * g_atoms[a] for a in range(cfg.n_atoms)
         )
-        rhs_m[i] = _scalar(G, cfg) * model.horizon * sigma_g
+        rhs_m[i] = g_cfg * model.horizon * sigma_g
     return (
         _paired_report(f"{name}[add]", lhs_p, rhs_p),
         _paired_report(f"{name}[remove]", lhs_m, rhs_m),
@@ -307,6 +308,11 @@ class DensityCurve:
         return "\n".join(lines) + "\n"
 
 
+# KDE grid points: per axis in 1-d, and per axis of the 2-d tensor grid
+KDE_GRID_1D = 512
+KDE_GRID_2D = 128
+
+
 def _silverman_1d(data: np.ndarray) -> float:
     std = float(np.std(data))
     q75, q25 = np.percentile(data, [75, 25])
@@ -319,21 +325,19 @@ def kde(
     model: IntensityModel,
     nsamples: int,
     seed: int,
-    bandwidth: float | Sequence[float] | None = None,
-    grid: Sequence[np.ndarray] | None = None,
-    grid_size: int = 512,
 ) -> DensityCurve:
     """Gaussian kernel density estimate of the law of F (out_dim <= 2).
 
-    Bandwidth defaults to the Silverman rule; the default grid extends four
-    bandwidths beyond the sample range so that the trapezoid mass is 1 up
-    to kernel tails.  A zero-variance sample is flagged degenerate.
+    The bandwidth is the Silverman rule in 1-d and the per-axis scaled
+    standard deviation in 2-d; the grid extends four bandwidths beyond the
+    sample range so that the trapezoid mass is 1 up to kernel tails.  A
+    zero-variance sample is flagged degenerate.
     """
     if F.out_dim > 2:
-        raise ValueError("kernel density estimates ship for out_dim <= 2")
+        raise FunctionalError(f"kernel density estimates ship for out_dim <= 2, got {F.out_dim}")
     data = _sample_values(F, model, nsamples, seed)
     if not np.all(np.isfinite(data)):
-        raise ValueError("non-finite functional values in the sample")
+        raise FunctionalError("non-finite functional values in the sample")
     stds = data.std(axis=0)
     if np.any(stds == 0.0):
         return DensityCurve(
@@ -348,12 +352,8 @@ def kde(
         )
     if F.out_dim == 1:
         x = data[:, 0]
-        h = float(bandwidth) if bandwidth is not None else _silverman_1d(x)
-        gx = (
-            np.asarray(grid[0], dtype=float)
-            if grid is not None
-            else np.linspace(x.min() - 4 * h, x.max() + 4 * h, grid_size)
-        )
+        h = _silverman_1d(x)
+        gx = np.linspace(x.min() - 4 * h, x.max() + 4 * h, KDE_GRID_1D)
         dens = np.exp(-0.5 * ((gx[:, None] - x[None, :]) / h) ** 2).sum(axis=1)
         dens /= nsamples * h * math.sqrt(2.0 * math.pi)
         mass = float(np.trapezoid(dens, gx))
@@ -361,18 +361,9 @@ def kde(
     # two-dimensional: product Gaussian kernel, per-axis bandwidth
     n = nsamples
     factor = n ** (-1.0 / 6.0)
-    if bandwidth is None:
-        hs = tuple(float(s) * factor for s in stds)
-    elif np.isscalar(bandwidth):
-        hs = (float(bandwidth), float(bandwidth))
-    else:
-        hs = tuple(float(b) for b in bandwidth)
-    size = max(64, grid_size // 4)
-    if grid is not None:
-        gx, gy = (np.asarray(g, dtype=float) for g in grid)
-    else:
-        gx = np.linspace(data[:, 0].min() - 4 * hs[0], data[:, 0].max() + 4 * hs[0], size)
-        gy = np.linspace(data[:, 1].min() - 4 * hs[1], data[:, 1].max() + 4 * hs[1], size)
+    hs = tuple(float(s) * factor for s in stds)
+    gx = np.linspace(data[:, 0].min() - 4 * hs[0], data[:, 0].max() + 4 * hs[0], KDE_GRID_2D)
+    gy = np.linspace(data[:, 1].min() - 4 * hs[1], data[:, 1].max() + 4 * hs[1], KDE_GRID_2D)
     kx = np.exp(-0.5 * ((gx[:, None] - data[None, :, 0]) / hs[0]) ** 2)
     ky = np.exp(-0.5 * ((gy[:, None] - data[None, :, 1]) / hs[1]) ** 2)
     dens = kx @ ky.T / (n * 2.0 * math.pi * hs[0] * hs[1])
@@ -431,11 +422,11 @@ def ecf_reference_linear(
     return out
 
 
-def dyadic_modulus_limit(tol: float = 1e-16) -> float:
+def dyadic_modulus_limit() -> float:
     """exp(-sum_{j>=0} (1 - cos(pi / 2^j))): the constant modulus at u = 2^k pi.
 
     The series converges geometrically; truncation stops when the summand
-    drops below tol.
+    drops below 1e-16.
     """
     s = 0.0
     j = 0
@@ -443,7 +434,7 @@ def dyadic_modulus_limit(tol: float = 1e-16) -> float:
         term = 1.0 - math.cos(math.pi / 2.0**j)
         s += term
         j += 1
-        if term < tol and j > 4:
+        if term < 1e-16 and j > 4:
             break
     return math.exp(-s)
 

@@ -508,30 +508,24 @@ def make_jump_sde(
     x0: np.ndarray,
     t: float,
     euler_step: float = 1e-2,
-    state_dim: int | None = None,
-    compensator: Callable[[float, np.ndarray], np.ndarray] | str | None = "quadrature",
+    compensator: str = "quadrature",
     label: str = "jump_sde",
 ) -> Functional:
-    """Pure-jump SDE dX = c(s, X_-, u) dN~ solved pathwise.
+    """Pure-jump SDE dX = c(s, X_-, u) dN~ solved pathwise; the state dimension is x0's size.
 
     Jumps apply c at each atom; between jumps the compensator drift
     -int c(s, X, u) sigma(du) is advanced by explicit Euler with step
-    euler_step.  `compensator` may be a closed-form callable (s, X) -> drift
-    vector, the string "linear_mark" (valid when c is linear in the mark,
-    drift = c(s, X, mean)), or "quadrature" for the generic slow path.
-    Derivatives are finite differences over full re-evaluation.
+    euler_step.  `compensator` is "linear_mark" (valid when c is linear in
+    the mark, drift = c(s, X, mean)) or "quadrature" for the generic slow
+    path.  Derivatives are finite differences over full re-evaluation.
     """
     _check_window(t, model.horizon)
     if euler_step <= 0.0:
         raise FunctionalError("euler step must be positive")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    m = state_dim or x0.size
-    if x0.size != m:
-        raise FunctionalError("x0 must have the state dimension")
+    m = x0.size
 
-    if callable(compensator):
-        drift = compensator
-    elif compensator == "linear_mark":
+    if compensator == "linear_mark":
         def drift(s: float, state: np.ndarray) -> np.ndarray:
             return np.atleast_1d(c(s, state, model.mean))
     elif compensator == "quadrature":
@@ -596,7 +590,6 @@ def make_triangular_sde(
         np.asarray(z0, dtype=float),
         t,
         euler_step=euler_step,
-        state_dim=3,
         compensator="linear_mark",
         label="jump_sde[triangular]",
     )

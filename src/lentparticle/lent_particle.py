@@ -111,14 +111,14 @@ class GammaSpec:
         r = np.asarray(r)
         return np.stack([self.mark_basis[j](r) for j in range(self.dim)], axis=-1)
 
-    def validate(self, probe_marks: np.ndarray, psd_tol: float = 1e-10) -> None:
+    def validate(self, probe_marks: np.ndarray) -> None:
         """Check symmetry/PSD of alpha, the factorization, and the basis."""
         for x in np.atleast_2d(probe_marks):
             a = self.alpha(x)
             if not np.allclose(a, a.T, atol=1e-12):
                 raise EngineError(f"alpha not symmetric at {x}")
             w = np.linalg.eigvalsh(0.5 * (a + a.T))
-            if w.min() < -psd_tol * max(1.0, abs(w).max()):
+            if w.min() < -1e-10 * max(1.0, abs(w).max()):
                 raise EngineError(f"alpha not PSD at {x}: eigenvalues {w}")
             l = self.chol(x)
             if not np.allclose(l @ l.T, a, atol=1e-10 * max(1.0, abs(a).max())):

@@ -28,8 +28,8 @@ from lentparticle.chaos import (
     pt_symmetry_check,
     second_quantization_check,
 )
-from lentparticle.configuration import Configuration, sample_batch, sample_configuration
-from lentparticle.functionals import make_doleans, stack_functionals
+from lentparticle.configuration import Configuration, remove_index, sample_batch, sample_configuration
+from lentparticle.functionals import finite_difference_add_derivative, make_doleans, stack_functionals
 from lentparticle.intensities import uniform_model
 from lentparticle.lent_particle import carre_du_champ, diag_squares_gamma
 from lentparticle.rng import substream
@@ -204,6 +204,36 @@ class TestChaosGamma:
         with pytest.raises(ChaosError):
             chaos_gamma_closed(EX1, MODEL01, plain, plain, 1, 1, SPEC)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lent_derivative_matches_finite_differences(self, n):
+        # D_x I_n = n I_(n-1): the closed mark Jacobian at every lent atom
+        # against central differences of the value, criterion 1's 1e-6 relative
+        cos = MarkFunction(
+            lambda xs: np.cos(xs[:, 0]), sup_bound=1.0, grad=lambda xs: -np.sin(xs[:, 0:1]), label="cos"
+        )
+        for u in (U_ID, V_SQ, cos):
+            F = multiple_integral_functional(SYM, u, n)
+            assert F.has_closed_derivative
+            for seed in range(8):
+                cfg = sample_configuration(SYM, 300 + seed)
+                closed, fd = [], []
+                for a in range(cfg.n_atoms):
+                    reduced, t, x = remove_index(cfg, a), float(cfg.times[a]), cfg.marks[a]
+                    closed.append(F.add_derivative(reduced, t, x))
+                    fd.append(finite_difference_add_derivative(F.value, reduced, t, x, 1))
+                closed, fd = np.array(closed), np.array(fd)
+                assert closed.shape == fd.shape == (cfg.n_atoms, 1, 1)
+                assert np.linalg.norm(closed - fd) <= 1e-6 * max(np.linalg.norm(closed), 1e-300)
+
+    def test_closed_mode_needs_a_gradient_fd_mode_does_not(self):
+        plain = MarkFunction(lambda xs: xs[:, 0], sup_bound=1.0, label="x")
+        F = multiple_integral_functional(SYM, plain, 2)
+        cfg = sample_configuration(SYM, 8)
+        with pytest.raises(ChaosError, match="no gradient"):
+            carre_du_champ(F, cfg, SPEC, mode="closed")
+        fd = carre_du_champ(F, cfg, SPEC, mode="fd").matrix[0, 0]
+        assert fd == pytest.approx(chaos_gamma_closed(cfg, SYM, U_ID, U_ID, 2, 2, SPEC), rel=1e-6)
+
 
 class TestBatchIntegrals:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
@@ -295,6 +325,18 @@ class TestSemigroup:
     def test_negative_time_rejected(self):
         with pytest.raises(ChaosError):
             self.SG.keep_prob(-0.1)
+
+    @pytest.mark.parametrize("t", [0.3, 1.5])
+    def test_move_keeps_each_mark_with_probability_exp_minus_t(self, t):
+        marks = sample_configuration(SYM, 40).marks
+        moved = self.SG.move(substream(41), marks, t, 4000)
+        assert moved.shape == (marks.shape[0], 4000, 1)
+        kept = (moved == marks[:, None, :]).all(axis=2)
+        q = math.exp(-t)
+        assert abs(kept.mean() - q) <= 4.0 * math.sqrt(q * (1.0 - q) / kept.size)
+        # each atom's column keeps at the same rate
+        per_atom = kept.mean(axis=1)
+        assert np.all(np.abs(per_atom - q) <= 4.0 * math.sqrt(q * (1.0 - q) / 4000))
 
 
 def test_sharp_sampling_of_chaos_functional_matches_closed_gamma():

@@ -251,6 +251,60 @@ class TestExitCodes:
         assert error in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "sections,error",
+        [
+            (
+                "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+                '[experiment]\nkind = identity\nseed = 1\nprobe = "laplace_zero"\nnsamples = 2.7\n',
+                "line 10, column 1: [experiment] nsamples = 2.7 is not an integer",
+            ),
+            (
+                "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+                "[experiment]\nkind = identity\nseed = 1\nscale = -1\n",
+                "line 9, column 1: scale must be >= 0",
+            ),
+            (
+                "[model]\nfamily = curve\nhorizon = 1.0\n\n[functional]\nlabel = area\nt = 1.0\n\n"
+                "[experiment]\nkind = density\nseed = 1\nnsamples = 200\n",
+                "FunctionalError): kernel density estimates ship for out_dim <= 2",
+            ),
+            (
+                "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n[functional]\nlabel = nearest\n\n"
+                "[experiment]\nkind = density\nseed = 1\nnsamples = 200\n",
+                "FunctionalError): non-finite functional values",
+            ),
+            (
+                "[model]\nfamily = polar\nhorizon = 1.0\n\n"
+                "[experiment]\nkind = chaos\nseed = 1\nnconfigs = 0\nngamma = 1\nnsamples = 1000\n",
+                "EngineError): atom 0: derivative shape (2, 1), expected (2, 2)",
+            ),
+        ],
+        ids=["fractional_count", "negative_scale", "kde_out_dim_3", "kde_non_finite", "chaos_polar"],
+    )
+    def test_domain_errors_exit_2_without_artifacts(self, tmp_path, capsys, sections, error):
+        path = tmp_path / "domain.cfg"
+        path.write_text(sections)
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert error in captured.err and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_count_and_zero_scale_accepted(self, tmp_path, capsys):
+        path = tmp_path / "ok.cfg"
+        base = "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n[experiment]\nkind = identity\nseed = 1\n"
+        path.write_text(base + 'probe = "laplace_zero"\nnsamples = 1e5\n')
+        assert main(["--out-dir", str(tmp_path / "probe"), "run", str(path)]) == 0
+        payload = json.loads((tmp_path / "probe" / "identity.json").read_text())
+        assert payload["reports"][0]["n"] == 100_000
+        # scale 0 runs every check at its floor sample count
+        path.write_text(base + "scale = 0\nmin_pass_fraction = 0.0\n")
+        assert main(["--out-dir", str(tmp_path / "suite"), "run", str(path)]) == 0
+        payload = json.loads((tmp_path / "suite" / "identity.json").read_text())
+        assert len(payload["reports"]) == 40
+        assert min(r["n"] for r in payload["reports"]) == 100
+
     def test_unknown_probe_exits_3_without_running(self, tmp_path, capsys):
         path = tmp_path / "probe.cfg"
         path.write_text(

@@ -152,7 +152,12 @@ class TestParticleAlgebra:
     @settings(max_examples=50, deadline=None)
     def test_algebra_property(self, t, x):
         a = Atom(t, [x])
-        if t == 0.3 and x == 0.5:
+        if t == 0.3:
+            # the time of FIXTURE's atom: its own mark is the support case above,
+            # any other mark is a time collision
+            if x != 0.5:
+                with pytest.raises(ConfigurationError, match="time collision"):
+                    add_particle(FIXTURE, a)
             return
         grown = add_particle(FIXTURE, a)
         assert remove_particle(grown, a) == FIXTURE
