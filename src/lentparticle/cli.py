@@ -198,24 +198,23 @@ FIXTURE_CONFIGS = {
     "triangular": lambda: Configuration(1.0, 2, [0.2, 0.6], [[0.5, 0.0], [0.0, 0.3]], "fixture"),
 }
 
+
+def _first_coordinate_kernel(fn, dfn, sup_bound: float, label: str) -> MarkFunction:
+    """A kernel fn(x1) of the first mark coordinate; its (n, d) gradient is dfn(x1), then zeros."""
+    def grad(xs):
+        out = np.zeros(xs.shape)
+        out[:, 0] = dfn(xs[:, 0])
+        return out
+
+    return MarkFunction(lambda xs: fn(xs[:, 0]), sup_bound=sup_bound, grad=grad, label=label)
+
+
 KERNELS = {
-    "half_x": MarkFunction(
-        lambda xs: 0.5 * xs[:, 0], sup_bound=0.5, grad=lambda xs: np.column_stack([np.full(len(xs), 0.5)]), label="x/2"
-    ),
-    "skew": MarkFunction(
-        lambda xs: 0.4 * xs[:, 0] + 0.3 * xs[:, 0] ** 2,
-        sup_bound=0.7,
-        grad=lambda xs: np.column_stack([0.4 + 0.6 * xs[:, 0]]),
-        label="0.4x+0.3x^2",
-    ),
-    "square": MarkFunction(
-        lambda xs: xs[:, 0] ** 2, sup_bound=1.0, grad=lambda xs: np.column_stack([2.0 * xs[:, 0]]), label="x^2"
-    ),
-    "inv_quad": MarkFunction(
-        lambda xs: 1.0 / (1.0 + xs[:, 0] ** 2),
-        sup_bound=1.0,
-        grad=lambda xs: np.column_stack([-2.0 * xs[:, 0] / (1.0 + xs[:, 0] ** 2) ** 2]),
-        label="1/(1+x^2)",
+    "half_x": _first_coordinate_kernel(lambda x: 0.5 * x, lambda x: 0.5, 0.5, "x/2"),
+    "skew": _first_coordinate_kernel(lambda x: 0.4 * x + 0.3 * x**2, lambda x: 0.4 + 0.6 * x, 0.7, "0.4x+0.3x^2"),
+    "square": _first_coordinate_kernel(lambda x: x**2, lambda x: 2.0 * x, 1.0, "x^2"),
+    "inv_quad": _first_coordinate_kernel(
+        lambda x: 1.0 / (1.0 + x**2), lambda x: -2.0 * x / (1.0 + x**2) ** 2, 1.0, "1/(1+x^2)"
     ),
 }
 
@@ -443,7 +442,8 @@ def _run_rajchman(p, model, **_):
 #:   params   the [experiment] keys it reads besides kind and seed, each with its
 #:            default; a key's type is its default's (None: an optional number),
 #:            and the keys ending in "out" name artifact files
-#:   low      the least value of each count
+#:   low      the least value of a count or threshold (every float must also be finite)
+#:   high     the greatest value of a fraction
 #:   choices  the allowed values of each named-choice key (others: exit 3)
 EXPERIMENTS: dict[str, dict] = {
     "gamma": {
@@ -451,6 +451,7 @@ EXPERIMENTS: dict[str, dict] = {
         "needs": ("functional", "gamma"),
         # tolerance None: criterion 1's tolerance for the functional
         "params": {"fixture": None, "tolerance": None, "out": "gamma.json"},
+        "low": {"tolerance": 0},
         "choices": {"fixture": FIXTURE_CONFIGS},
     },
     "survey": {
@@ -460,7 +461,8 @@ EXPERIMENTS: dict[str, dict] = {
             "nsamples": 1000, "tolerance": 1e-12, "min_frequency": 0.0,
             "out": "survey.csv", "summary_out": "survey.json",
         },
-        "low": {"nsamples": 1},
+        "low": {"nsamples": 1, "tolerance": 0, "min_frequency": 0},
+        "high": {"min_frequency": 1},
     },
     "identity": {
         "run": _run_identity,
@@ -470,7 +472,8 @@ EXPERIMENTS: dict[str, dict] = {
             "out": "identity.json",
         },
         # scale 0: the floor sample count of every check
-        "low": {"nsamples": 1, "scale": 0},
+        "low": {"nsamples": 1, "scale": 0, "min_pass_fraction": 0},
+        "high": {"min_pass_fraction": 1},
         "choices": {"probe": ("laplace_zero",)},
     },
     "chaos": {
@@ -479,7 +482,7 @@ EXPERIMENTS: dict[str, dict] = {
             "u": "skew", "v": "square", "nconfigs": 50, "ngamma": 10, "nsamples": 200_000,
             "series_tol": 1e-8, "product_tol": 1e-10, "gamma_tol": 1e-6, "out": "chaos.json",
         },
-        "low": {"nconfigs": 0, "ngamma": 0, "nsamples": 1},
+        "low": {"nconfigs": 0, "ngamma": 0, "nsamples": 1, "series_tol": 0, "product_tol": 0, "gamma_tol": 0},
         "choices": {"u": KERNELS, "v": KERNELS},
     },
     "density": {
@@ -498,7 +501,7 @@ EXPERIMENTS: dict[str, dict] = {
             "k_max": 8, "nsamples": 0, "tolerance": 2e-3,
             "out": "rajchman.csv", "summary_out": "rajchman.json",
         },
-        "low": {"k_max": 0, "nsamples": 0},
+        "low": {"k_max": 0, "nsamples": 0, "tolerance": 0},
     },
 }
 
@@ -511,6 +514,7 @@ def _experiment_params(sec: Section, seed_flag: int | None) -> tuple[str, dict]:
     spec = EXPERIMENTS[kind]
     defaults = {"seed": 0, **spec["params"]}
     low = {"seed": 0, **spec.get("low", {})}
+    high = spec.get("high", {})
     choices = spec.get("choices", {})
     given = {key: (value, sec.pos[key]) for key, value in sec.items() if key != "kind"}
     if seed_flag is not None:
@@ -533,8 +537,12 @@ def _experiment_params(sec: Section, seed_flag: int | None) -> tuple[str, dict]:
             except (TypeError, ValueError, OverflowError):
                 noun = "an integer" if cast is int else "a number"
                 raise ConfigParseError(f"[experiment] {key} = {value!r} is not {noun}", *at) from None
+            if cast is float and not math.isfinite(value):
+                raise ConfigParseError(f"[experiment] {key} = {value!r} is not a finite number", *at)
             if key in low and value < low[key]:
                 raise ConfigParseError(f"{key} must be >= {low[key]}, got {value}", *at)
+            if key in high and value > high[key]:
+                raise ConfigParseError(f"{key} must be <= {high[key]}, got {value}", *at)
         params[key] = value
     return kind, params
 

@@ -14,7 +14,7 @@ which is what unambiguous support membership for add/remove requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -247,7 +247,8 @@ class BatchedConfigurations:
     """A flat batch of sampled configurations for vectorized estimators.
 
     Atom data of sample i lives in rows offsets[i]:offsets[i+1]; sample_index
-    maps each flat row back to its sample.
+    maps each flat row back to its sample.  Sampled rows stay in draw
+    order; time_order lists them in time order within each sample.
     """
 
     model: IntensityModel
@@ -256,17 +257,24 @@ class BatchedConfigurations:
     offsets: np.ndarray       # (nsamples + 1,)
     times: np.ndarray         # (total,)
     marks: np.ndarray         # (total, d)
+    _time_order: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def sample_index(self) -> np.ndarray:
         return np.repeat(np.arange(self.nsamples), self.counts)
 
+    @property
+    def time_order(self) -> np.ndarray:
+        """Flat rows sorted by (sample, time), computed once: a stable argsort per sample."""
+        if self._time_order is None:
+            object.__setattr__(self, "_time_order", np.lexsort((self.times, self.sample_index)))
+        return self._time_order
+
     def config(self, i: int) -> Configuration:
         # invariants hold by construction (sampler output); skip re-validation
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        order = np.argsort(self.times[lo:hi], kind="stable")
-        times = self.times[lo:hi][order]
-        marks = self.marks[lo:hi][order]
+        rows = self.time_order[self.offsets[i]:self.offsets[i + 1]]
+        times = self.times[rows]
+        marks = self.marks[rows]
         times.setflags(write=False)
         marks.setflags(write=False)
         return Configuration._from_arrays_unchecked(
@@ -285,6 +293,63 @@ class BatchedConfigurations:
         bins = (self.sample_index[:, None] * k + np.arange(k)).ravel()
         sums = np.bincount(bins, weights=values.ravel(), minlength=self.nsamples * k)
         return sums.reshape(self.nsamples, k)
+
+    def reduce_per_sample(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """ufunc.reduce of each sample's per-atom values (total,) in time order.
+
+        Samples of equal count reduce as the rows of one block, which numpy
+        reduces row by row as it reduces each row alone: config(i)'s bits.
+        """
+        out = np.empty(self.nsamples)
+        ordered = values[self.time_order]
+        for k in np.unique(self.counts):
+            ids = np.flatnonzero(self.counts == k)
+            out[ids] = ufunc.reduce(ordered[self.offsets[ids, None] + np.arange(k)], axis=1)
+        return out
+
+    def samples(self, lo: int, hi: int) -> "BatchedConfigurations":
+        """Samples lo..hi-1 as a batch of their own, rows in time order."""
+        rows = self.time_order[self.offsets[lo]:self.offsets[hi]]
+        return self._time_ordered(self.counts[lo:hi], self.times[rows], self.marks[rows])
+
+    def _time_ordered(self, counts: np.ndarray, times: np.ndarray, marks: np.ndarray) -> "BatchedConfigurations":
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return BatchedConfigurations(self.model, counts.size, counts, offsets, times, marks, np.arange(times.size))
+
+    def with_atom(self, times: np.ndarray, marks: np.ndarray) -> "BatchedConfigurations":
+        """Atom (times[i], marks[i]) added to sample i, as add_particle adds it to config(i).
+
+        An atom already in its sample's support leaves that sample as it is.
+        """
+        model, owner = self.model, self.sample_index
+        times, marks = np.asarray(times, dtype=float), np.asarray(marks, dtype=float)
+        if times.shape != (self.nsamples,) or marks.shape != (self.nsamples, model.dim):
+            raise ConfigurationError(f"one atom per sample in R^{model.dim}: times {times.shape}, marks {marks.shape}")
+        ok = (times >= 0.0) & (times <= model.horizon) & np.all(np.isfinite(marks), axis=1) & np.any(marks != 0.0, axis=1)
+        if not np.all(ok):
+            raise ConfigurationError(f"atom {np.argmin(ok)}: time outside [0, {model.horizon}] or a zero or non-finite mark")
+        hit = np.flatnonzero(self.times == times[owner])
+        clash = hit[np.any(self.marks[hit] != marks[owner[hit]], axis=1)]
+        if clash.size:
+            raise ConfigurationError(f"time collision at t={self.times[clash[0]]} with a different mark")
+        keep = np.bincount(owner[hit], minlength=self.nsamples) == 0
+        at = (self.offsets[:-1] + np.bincount(owner[self.times < times[owner]], minlength=self.nsamples))[keep]
+        rows = self.time_order
+        return self._time_ordered(
+            self.counts + keep,
+            np.insert(self.times[rows], at, times[keep]),
+            np.insert(self.marks[rows], at, marks[keep], axis=0),
+        )
+
+    def leave_one_out(self) -> "BatchedConfigurations":
+        """One sample per atom, in time_order: sample offsets[i] + r is remove_index(config(i), r)."""
+        owner = self.sample_index
+        counts = self.counts[owner] - 1
+        removed = np.repeat(np.arange(owner.size), counts)
+        first = self.offsets[owner[removed]]
+        pos = first + np.arange(removed.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = self.time_order[pos + (pos >= removed)]
+        return self._time_ordered(counts, self.times[rows], self.marks[rows])
 
 
 def sample_batch(model: IntensityModel, nsamples: int, seed: int, *path: int) -> BatchedConfigurations:

@@ -16,16 +16,14 @@ from typing import Callable
 
 import numpy as np
 
-from .configuration import (
-    Atom,
-    Configuration,
+from .configuration import (  # noqa: F401  add_particle, remove_index: named by perfbench/spans.py
     IntensityModel,
     add_particle,
     remove_index,
     sample_batch,
 )
-from .functionals import Functional, FunctionalError
-from .rng import substream
+from .functionals import Functional, FunctionalError, batch_values
+from .rng import chunk_ranges, substream
 
 __all__ = [
     "EstimatorReport",
@@ -114,10 +112,6 @@ def _paired_report(name: str, lhs: np.ndarray, rhs: np.ndarray) -> EstimatorRepo
     )
 
 
-def _scalar(F: Functional, cfg: Configuration) -> float:
-    return float(np.atleast_1d(F.value(cfg))[0])
-
-
 # ---------------------------------------------------------------------------
 # measure-level identities
 # ---------------------------------------------------------------------------
@@ -152,6 +146,11 @@ def laplace_check(
     return EstimatorReport(name=name, estimate=est, reference=ref, standard_error=se, nsamples=nsamples)
 
 
+# samples per block of duality_check: bounds the memory of its derived
+# batches; each sample is computed alone, so no float depends on it
+DUALITY_BLOCK = 16384
+
+
 def duality_check(
     model: IntensityModel,
     G: Functional,
@@ -165,6 +164,8 @@ def duality_check(
     Adding a particle drawn from the normalized intensity and weighting by
     the total mass gives an unbiased one-draw quadrature of the intensity
     integral; it is paired per sample with the configuration-sum side.
+    G is evaluated on batches: the sampled one, its with_atom (the drawn
+    atoms added) and its leave_one_out (each atom removed in turn).
     """
     lam = model.rate * model.horizon
     sigma_g = model.sigma_integrate(g)
@@ -173,20 +174,19 @@ def duality_check(
     taus = rng.uniform(0.0, model.horizon, size=nsamples)
     chis = model.sample_marks(rng, nsamples)
     g_extra = np.asarray(g(chis), dtype=float)
-    lhs_p = np.empty(nsamples)
-    rhs_p = np.empty(nsamples)
-    lhs_m = np.empty(nsamples)
-    rhs_m = np.empty(nsamples)
-    for i in range(nsamples):
-        cfg = batch.config(i)
-        g_atoms = np.asarray(g(cfg.marks), dtype=float) if cfg.n_atoms else np.zeros(0)
-        g_cfg = _scalar(G, cfg)
-        lhs_p[i] = lam * _scalar(G, add_particle(cfg, Atom(taus[i], chis[i]))) * g_extra[i]
-        rhs_p[i] = g_cfg * float(g_atoms.sum())
-        lhs_m[i] = sum(
-            _scalar(G, remove_index(cfg, a)) * g_atoms[a] for a in range(cfg.n_atoms)
-        )
-        rhs_m[i] = g_cfg * model.horizon * sigma_g
+    g_cfg, lhs_p, rhs_p, lhs_m = (np.empty(nsamples) for _ in range(4))
+    for lo, hi in chunk_ranges(nsamples, DUALITY_BLOCK):
+        part = batch.samples(lo, hi)
+        g_atoms = np.asarray(g(part.marks), dtype=float) if part.marks.size else np.zeros(0)
+        g_cfg[lo:hi] = batch_values(G, part)[:, 0]
+        added = batch_values(G, part.with_atom(taus[lo:hi], chis[lo:hi]))[:, 0]
+        lhs_p[lo:hi] = lam * added * g_extra[lo:hi]
+        rhs_p[lo:hi] = g_cfg[lo:hi] * part.reduce_per_sample(np.add, g_atoms)
+        # part's rows, and so the leave_one_out samples, run in time order:
+        # the bincount adds each sample's terms in time order
+        removed = batch_values(G, part.leave_one_out())[:, 0]
+        lhs_m[lo:hi] = part.sum_per_sample(removed * g_atoms)
+    rhs_m = g_cfg * model.horizon * sigma_g
     return (
         _paired_report(f"{name}[add]", lhs_p, rhs_p),
         _paired_report(f"{name}[remove]", lhs_m, rhs_m),
@@ -272,14 +272,6 @@ def mark_identities_check(
 # density diagnostics
 # ---------------------------------------------------------------------------
 
-def _sample_values(F: Functional, model: IntensityModel, nsamples: int, seed: int) -> np.ndarray:
-    batch = sample_batch(model, nsamples, seed)
-    out = np.empty((nsamples, F.out_dim))
-    for i in range(nsamples):
-        out[i] = np.atleast_1d(F.value(batch.config(i)))
-    return out
-
-
 @dataclass(frozen=True)
 class DensityCurve:
     """Gaussian-kernel density estimate on a grid (1-d or 2-d)."""
@@ -335,7 +327,7 @@ def kde(
     """
     if F.out_dim > 2:
         raise FunctionalError(f"kernel density estimates ship for out_dim <= 2, got {F.out_dim}")
-    data = _sample_values(F, model, nsamples, seed)
+    data = batch_values(F, sample_batch(model, nsamples, seed))
     if not np.all(np.isfinite(data)):
         raise FunctionalError("non-finite functional values in the sample")
     stds = data.std(axis=0)
@@ -397,7 +389,7 @@ def ecf(
     """|phi_hat(u)| over the grid for a scalar functional."""
     if F.out_dim != 1:
         raise ValueError("characteristic-function diagnostic needs a scalar functional")
-    data = _sample_values(F, model, nsamples, seed)[:, 0]
+    data = batch_values(F, sample_batch(model, nsamples, seed))[:, 0]
     u = np.asarray(u_grid, dtype=float)
     mod = np.empty(u.size)
     for i, ui in enumerate(u):

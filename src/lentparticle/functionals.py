@@ -22,11 +22,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .configuration import Atom, Configuration, IntensityModel, add_particle
+from .configuration import Atom, BatchedConfigurations, Configuration, IntensityModel, add_particle
 
 __all__ = [
     "Functional",
     "FunctionalError",
+    "batch_values",
     "finite_difference_add_derivative",
     "stack_functionals",
     "scale_functional",
@@ -61,6 +62,16 @@ class Functional:
     value: Callable[[Configuration], np.ndarray]
     add_derivative: Callable[[Configuration, float, np.ndarray], np.ndarray]
     has_closed_derivative: bool = True
+    # optional: the (nsamples, m) values of a whole batch, with value's bits on each config(i)
+    value_batch: Callable[[BatchedConfigurations], np.ndarray] | None = None
+
+
+def batch_values(F: Functional, batch: BatchedConfigurations) -> np.ndarray:
+    """F at every sample of the batch, (nsamples, out_dim): value_batch, else value per sample."""
+    if F.value_batch is not None:
+        return F.value_batch(batch)
+    rows = [np.atleast_1d(F.value(batch.config(i))) for i in range(batch.nsamples)]
+    return np.array(rows, dtype=float).reshape(batch.nsamples, F.out_dim)
 
 
 # finite-difference step per mark coordinate
@@ -94,13 +105,15 @@ def finite_difference_add_derivative(
     return jac
 
 
-def with_fd_derivative(label: str, out_dim: int, mark_dim: int, value) -> Functional:
-    """Wrap a raw value map into a Functional differentiated by finite differences."""
+def with_fd_derivative(label: str, out_dim: int, mark_dim: int, value, value_batch=None) -> Functional:
+    """Wrap a raw value map (and optional value_batch) into a Functional differentiated by finite differences."""
 
     def add_derivative(cfg: Configuration, t: float, x: np.ndarray) -> np.ndarray:
         return finite_difference_add_derivative(value, cfg, t, x, out_dim)
 
-    return Functional(label, out_dim, mark_dim, value, add_derivative, has_closed_derivative=False)
+    return Functional(
+        label, out_dim, mark_dim, value, add_derivative, has_closed_derivative=False, value_batch=value_batch
+    )
 
 
 def stack_functionals(fs: Sequence[Functional], label: str | None = None) -> Functional:
@@ -131,6 +144,7 @@ def scale_functional(f: Functional, c: float) -> Functional:
         label=f"{c}*{f.label}",
         value=lambda cfg: c * np.atleast_1d(f.value(cfg)),
         add_derivative=lambda cfg, t, x: c * f.add_derivative(cfg, t, x),
+        value_batch=None,
     )
 
 
@@ -199,11 +213,15 @@ def make_path_eval(model: IntensityModel, t: float) -> Functional:
     return Functional(f"path_eval(t={t})", d, d, value, add_derivative)
 
 
+def _check_doleans_jumps(jumps: np.ndarray) -> None:
+    if np.any(jumps <= -1.0):
+        raise FunctionalError("exponential functional needs all marks > -1")
+
+
 def _doleans_value(cfg: Configuration, mean: np.ndarray, t: float) -> float:
     # exp(Y_t) prod (1 + dY) exp(-dY) collapses to exp(-t*mean) prod (1 + dY)
     jumps = cfg.marks[_upto(cfg, t), 0]
-    if np.any(jumps <= -1.0):
-        raise FunctionalError("exponential functional needs all marks > -1")
+    _check_doleans_jumps(jumps)
     return math.exp(-t * mean[0]) * float(np.prod(1.0 + jumps))
 
 
@@ -223,7 +241,14 @@ def make_doleans(model: IntensityModel, t: float) -> Functional:
             return np.zeros((1, 1))
         return np.array([[_doleans_value(cfg, mean, t)]])
 
-    return Functional(f"doleans(t={t})", 1, 1, value, add_derivative)
+    def value_batch(batch: BatchedConfigurations) -> np.ndarray:
+        # factors of atoms after t are 1, so the in-order product is _doleans_value's
+        live = batch.times <= t
+        _check_doleans_jumps(batch.marks[live, 0])
+        factors = np.where(live, 1.0 + batch.marks[:, 0], 1.0)
+        return (math.exp(-t * mean[0]) * batch.reduce_per_sample(np.multiply, factors))[:, None]
+
+    return Functional(f"doleans(t={t})", 1, 1, value, add_derivative, value_batch=value_batch)
 
 
 def make_pair_doleans(model: IntensityModel, t: float) -> Functional:

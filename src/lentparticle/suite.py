@@ -49,7 +49,12 @@ def _exp_neg_integral_functional(model: IntensityModel, f) -> Functional:
         s = float(np.sum(f(cfg.marks))) if cfg.n_atoms else 0.0
         return np.array([math.exp(-s)])
 
-    return with_fd_derivative("exp_neg_N(f0)", 1, model.dim, value)
+    def value_batch(batch):
+        sums = batch.reduce_per_sample(np.add, f(batch.marks))
+        # math.exp, as in value: numpy's exp may round differently
+        return np.fromiter(map(math.exp, (-sums).tolist()), float, sums.size)[:, None]
+
+    return with_fd_derivative("exp_neg_N(f0)", 1, model.dim, value, value_batch)
 
 
 def _laplace_group(seed: int, scale: float) -> list[EstimatorReport]:

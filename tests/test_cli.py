@@ -193,6 +193,18 @@ class TestRun:
         assert payload["gamma_agreement"] <= 1e-6
         assert len(payload["orthogonality"]) == 4
 
+    def test_chaos_experiment_on_polar_model(self, tmp_path, capsys):
+        # the kernels read the first mark coordinate; their gradients are (n, 2) here
+        path = tmp_path / "chaos.cfg"
+        path.write_text(
+            "[model]\nfamily = polar\nhorizon = 1.0\n\n"
+            "[experiment]\nkind = chaos\nseed = 1\nnconfigs = 2\nngamma = 1\nnsamples = 2000\n"
+        )
+        assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
+        payload = json.loads((tmp_path / "chaos.json").read_text())
+        assert payload["pass"]
+        assert payload["gamma_agreement"] <= 1e-6
+
     def test_density_experiment(self, tmp_path):
         path = tmp_path / "dens.cfg"
         path.write_text(
@@ -274,13 +286,8 @@ class TestExitCodes:
                 "[experiment]\nkind = density\nseed = 1\nnsamples = 200\n",
                 "FunctionalError): non-finite functional values",
             ),
-            (
-                "[model]\nfamily = polar\nhorizon = 1.0\n\n"
-                "[experiment]\nkind = chaos\nseed = 1\nnconfigs = 0\nngamma = 1\nnsamples = 1000\n",
-                "EngineError): atom 0: derivative shape (2, 1), expected (2, 2)",
-            ),
         ],
-        ids=["fractional_count", "negative_scale", "kde_out_dim_3", "kde_non_finite", "chaos_polar"],
+        ids=["fractional_count", "negative_scale", "kde_out_dim_3", "kde_non_finite"],
     )
     def test_domain_errors_exit_2_without_artifacts(self, tmp_path, capsys, sections, error):
         path = tmp_path / "domain.cfg"
@@ -289,6 +296,42 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert error in captured.err and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            (GAMMA_CFG + "tolerance = -1\n", "line 21, column 1: tolerance must be >= 0, got -1.0"),
+            (SURVEY_CFG + "tolerance = nan\n", "line 21, column 1: [experiment] tolerance = nan is not a finite number"),
+            (
+                SURVEY_CFG.replace("min_frequency = 0.9", "min_frequency = 1.5"),
+                "line 20, column 1: min_frequency must be <= 1, got 1.5",
+            ),
+            (
+                "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+                "[experiment]\nkind = identity\nseed = 1\nmin_pass_fraction = -0.5\n",
+                "line 9, column 1: min_pass_fraction must be >= 0, got -0.5",
+            ),
+            (
+                "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+                "[experiment]\nkind = chaos\nseed = 1\nseries_tol = inf\ngamma_tol = -1e-6\n",
+                "line 9, column 1: [experiment] series_tol = inf is not a finite number",
+            ),
+            (
+                "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+                "[experiment]\nkind = chaos\nseed = 1\nproduct_tol = -1\n",
+                "line 9, column 1: product_tol must be >= 0, got -1.0",
+            ),
+        ],
+        ids=["gamma_negative_tol", "survey_nan_tol", "survey_frequency_above_1", "identity_negative_fraction",
+             "chaos_infinite_tol", "chaos_negative_tol"],
+    )
+    def test_thresholds_out_of_range_exit_2(self, tmp_path, capsys, text, error):
+        path = tmp_path / "threshold.cfg"
+        path.write_text(text)
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert error in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_integral_float_count_and_zero_scale_accepted(self, tmp_path, capsys):

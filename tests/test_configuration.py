@@ -8,6 +8,7 @@ from scipy import stats
 
 from lentparticle.configuration import (
     Atom,
+    BatchedConfigurations,
     Configuration,
     ConfigurationError,
     InvalidModelError,
@@ -16,6 +17,7 @@ from lentparticle.configuration import (
     compensated_integrate,
     integrate,
     read_configuration,
+    remove_index,
     remove_particle,
     sample_batch,
     sample_configuration,
@@ -162,6 +164,99 @@ class TestParticleAlgebra:
         grown = add_particle(FIXTURE, a)
         assert remove_particle(grown, a) == FIXTURE
         assert add_particle(grown, a) == grown
+
+
+def batch_of(model, samples) -> BatchedConfigurations:
+    """A batch from per-sample (time, mark) lists, rows in the order given."""
+    counts = np.array([len(s) for s in samples], dtype=int)
+    times = np.array([t for s in samples for t, _ in s], dtype=float)
+    marks = np.array([x for s in samples for _, x in s], dtype=float).reshape(-1, 1)
+    return BatchedConfigurations(
+        model, len(samples), counts, np.concatenate(([0], np.cumsum(counts))), times, marks
+    )
+
+
+BATCH_MODEL = uniform_model(1.0, rate=3.0, low=-0.5, high=1.0, label="batch")
+# samples of up to 12 atoms in draw order: reductions switch to pairwise sums at 8
+SAMPLES = st.lists(
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(-2.0, 2.0).filter(lambda v: v != 0.0)),
+        max_size=12,
+        unique_by=lambda a: a[0],
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestBatchProtocol:
+    def test_config_sorts_each_sample_by_time(self):
+        batch = sample_batch(BATCH_MODEL, 300, seed=3)
+        for i in range(batch.nsamples):
+            lo, hi = batch.offsets[i], batch.offsets[i + 1]
+            order = np.argsort(batch.times[lo:hi], kind="stable")
+            cfg = batch.config(i)
+            assert np.array_equal(cfg.times, batch.times[lo:hi][order])
+            assert np.array_equal(cfg.marks, batch.marks[lo:hi][order])
+
+    @given(samples=SAMPLES, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_with_atom_rows_equal_add_particle(self, samples, data):
+        batch = batch_of(BATCH_MODEL, samples)
+        taken = {t for s in samples for t, _ in s}
+        ts = data.draw(st.lists(st.floats(0.0, 1.0).filter(lambda t: t not in taken),
+                                min_size=batch.nsamples, max_size=batch.nsamples))
+        xs = data.draw(st.lists(st.floats(-2.0, 2.0).filter(lambda v: v != 0.0),
+                                min_size=batch.nsamples, max_size=batch.nsamples))
+        grown = batch.with_atom(np.array(ts), np.array(xs).reshape(-1, 1))
+        for i in range(batch.nsamples):
+            assert grown.config(i) == add_particle(batch.config(i), Atom(ts[i], [xs[i]]))
+
+    @given(samples=SAMPLES)
+    @settings(max_examples=60, deadline=None)
+    def test_leave_one_out_rows_equal_remove_index(self, samples):
+        batch = batch_of(BATCH_MODEL, samples)
+        loo = batch.leave_one_out()
+        assert loo.nsamples == batch.times.size
+        for i in range(batch.nsamples):
+            cfg = batch.config(i)
+            for r in range(cfg.n_atoms):
+                assert loo.config(batch.offsets[i] + r) == remove_index(cfg, r)
+
+    @given(samples=SAMPLES)
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_per_sample_has_the_bits_of_each_config(self, samples):
+        batch = batch_of(BATCH_MODEL, samples)
+        values = np.sin(7.0 * batch.marks[:, 0]) * 1e3 ** batch.times
+        sums = batch.reduce_per_sample(np.add, values)
+        prods = batch.reduce_per_sample(np.multiply, 1.0 + values / 2e3)
+        for i in range(batch.nsamples):
+            cfg = batch.config(i)
+            v = np.sin(7.0 * cfg.marks[:, 0]) * 1e3 ** cfg.times
+            assert sums[i] == np.sum(v)
+            assert prods[i] == np.prod(1.0 + v / 2e3)
+
+    def test_with_atom_time_collision(self):
+        batch = batch_of(BATCH_MODEL, [[(0.3, 0.5), (0.1, 0.2)], [(0.6, -0.4)]])
+        with pytest.raises(ConfigurationError, match="time collision"):
+            batch.with_atom(np.array([0.9, 0.6]), np.array([[0.1], [0.7]]))
+        # the atom already in the support leaves its sample as it is
+        grown = batch.with_atom(np.array([0.3, 0.8]), np.array([[0.5], [0.7]]))
+        assert grown.config(0) == batch.config(0)
+        assert grown.config(1).n_atoms == 2
+
+    def test_with_atom_rejects_bad_atoms(self):
+        batch = batch_of(BATCH_MODEL, [[(0.3, 0.5)]])
+        for ts, xs in [([1.5], [[0.1]]), ([0.5], [[0.0]]), ([0.5], [[0.1, 0.2]])]:
+            with pytest.raises(ConfigurationError):
+                batch.with_atom(np.array(ts), np.array(xs))
+
+    def test_samples_block_keeps_configs(self):
+        batch = sample_batch(BATCH_MODEL, 50, seed=8)
+        part = batch.samples(20, 35)
+        assert all(part.config(i) == batch.config(20 + i) for i in range(15))
+        # its rows are in time order, which duality_check's in-order sums rely on
+        assert np.array_equal(part.time_order, np.arange(part.times.size))
 
 
 class TestMarks:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from lentparticle import diagnostics
+from lentparticle.configuration import Atom, add_particle, remove_index, sample_batch
 from lentparticle.diagnostics import (
     EstimatorReport,
     dyadic_modulus_limit,
@@ -15,8 +17,10 @@ from lentparticle.diagnostics import (
     marked_moment_check,
     rajchman_demo,
 )
-from lentparticle.functionals import make_pair_doleans, make_path_eval, with_fd_derivative
+from lentparticle.functionals import make_doleans, make_pair_doleans, make_path_eval, with_fd_derivative
 from lentparticle.intensities import dyadic_model, power_model, uniform_model
+from lentparticle.rng import substream
+from lentparticle.suite import _exp_neg_integral_functional
 
 SYM = uniform_model(1.0, rate=3.0, low=-1.0, high=1.0, label="sym3")
 
@@ -85,6 +89,69 @@ class TestLemma8:
         )
         r_add, r_rem = duality_check(SYM, expf, lambda xs: xs[:, 0] ** 2, 20_000, seed=7)
         assert r_add.passed and r_rem.passed
+
+
+def _duality_oracle(model, G, g, nsamples, seed, name="duality"):
+    """duality_check as one loop over samples: add_particle and remove_index on each config(i)."""
+    scalar = lambda cfg: float(np.atleast_1d(G.value(cfg))[0])
+    lam = model.rate * model.horizon
+    sigma_g = model.sigma_integrate(g)
+    batch = sample_batch(model, nsamples, seed)
+    rng = substream(seed, 1)
+    taus = rng.uniform(0.0, model.horizon, size=nsamples)
+    chis = model.sample_marks(rng, nsamples)
+    g_extra = np.asarray(g(chis), dtype=float)
+    lhs_p, rhs_p, lhs_m, rhs_m = (np.empty(nsamples) for _ in range(4))
+    for i in range(nsamples):
+        cfg = batch.config(i)
+        g_atoms = np.asarray(g(cfg.marks), dtype=float) if cfg.n_atoms else np.zeros(0)
+        g_cfg = scalar(cfg)
+        lhs_p[i] = lam * scalar(add_particle(cfg, Atom(taus[i], chis[i]))) * g_extra[i]
+        rhs_p[i] = g_cfg * float(g_atoms.sum())
+        lhs_m[i] = sum(scalar(remove_index(cfg, a)) * g_atoms[a] for a in range(cfg.n_atoms))
+        rhs_m[i] = g_cfg * model.horizon * sigma_g
+    return (
+        diagnostics._paired_report(f"{name}[add]", lhs_p, rhs_p),
+        diagnostics._paired_report(f"{name}[remove]", lhs_m, rhs_m),
+    )
+
+
+SLANT = uniform_model(1.0, rate=3.0, low=-0.5, high=1.0, label="slant")
+ONE = with_fd_derivative("one", 1, 1, lambda cfg: np.array([1.0]))
+EXP_ABS = _exp_neg_integral_functional(SLANT, lambda xs: np.abs(xs[:, 0]))
+SQUARE = lambda xs: xs[:, 0] ** 2
+
+
+class TestDualityAgainstPerSampleLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "G,g",
+        [
+            (make_doleans(SLANT, 1.0), SQUARE),
+            (make_doleans(SLANT, 0.5), SQUARE),
+            (EXP_ABS, lambda xs: np.abs(xs[:, 0])),
+            (ONE, SQUARE),
+            (make_doleans(SLANT, 1.0), lambda xs: np.zeros(len(xs))),
+        ],
+        ids=["doleans", "doleans_t_half", "exp", "one_fallback", "zero_g"],
+    )
+    def test_reports_equal(self, monkeypatch, G, g, seed):
+        # blocks that do not divide the sample count
+        monkeypatch.setattr(diagnostics, "DUALITY_BLOCK", 700)
+        got = duality_check(SLANT, G, g, 2_000, seed=seed)
+        want = _duality_oracle(SLANT, G, g, 2_000, seed=seed)
+        for a, b in zip(got, want):
+            assert a.name == b.name and a.nsamples == b.nsamples
+            assert a.estimate == b.estimate
+            assert a.standard_error == b.standard_error
+            assert abs(a.reference - b.reference) <= math.ulp(b.reference)
+
+    def test_hook_and_fallback_agree(self):
+        fallback = with_fd_derivative("exp_loop", 1, 1, EXP_ABS.value)
+        assert fallback.value_batch is None
+        for a, b in zip(duality_check(SLANT, EXP_ABS, SQUARE, 3_000, seed=4),
+                        duality_check(SLANT, fallback, SQUARE, 3_000, seed=4)):
+            assert a.to_dict() == b.to_dict()
 
 
 class TestMarkedMoment:

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lentparticle.configuration import Atom, Configuration, add_particle, sample_configuration
+from lentparticle.configuration import (
+    Atom,
+    BatchedConfigurations,
+    Configuration,
+    add_particle,
+    sample_batch,
+    sample_configuration,
+)
 from lentparticle.functionals import (
     FunctionalError,
+    batch_values,
     PiecewiseConstant,
     finite_difference_add_derivative,
     make_doleans,
@@ -98,6 +106,30 @@ class TestDoleans:
             y_t = jumps.sum() - DRIFT1.mean[0]
             raw = math.exp(y_t) * np.prod((1.0 + jumps) * np.exp(-jumps))
             assert F.value(cfg)[0] == pytest.approx(raw, rel=1e-12)
+
+
+    @pytest.mark.parametrize("t", [1.0, 0.6])
+    def test_value_batch_has_the_bits_of_value(self, t):
+        model = uniform_model(1.0, rate=6.0, low=-0.9, high=1.5, label="wide")
+        F = make_doleans(model, t)
+        batch = sample_batch(model, 2_000, seed=9)
+        got = F.value_batch(batch)
+        assert got.shape == (batch.nsamples, 1)
+        want = np.array([F.value(batch.config(i)) for i in range(batch.nsamples)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(batch_values(F, batch), want)
+
+    def test_value_batch_domain_error(self):
+        F = make_doleans(SYM1, 0.5)
+        times, marks = np.array([0.7, 0.4, 0.9]), np.array([[0.2], [-1.5], [0.3]])
+        bad = BatchedConfigurations(SYM1, 2, np.array([1, 2]), np.array([0, 1, 3]), times, marks)
+        with pytest.raises(FunctionalError):
+            F.value_batch(bad)
+        # a mark <= -1 after t is outside the product, as in value
+        late = BatchedConfigurations(
+            SYM1, 1, np.array([2]), np.array([0, 2]), np.array([0.7, 0.2]), np.array([[-1.5], [0.3]])
+        )
+        assert np.array_equal(F.value_batch(late), [F.value(late.config(0))])
 
 
 class TestPairDoleans:
