@@ -20,10 +20,7 @@ from .configuration import (
     MarkedConfiguration,
     add_particle,
     attach_marks,
-    compensated_integrate,
-    integrate,
     read_configuration,
-    remove_particle,
     sample_batch,
     sample_configuration,
     write_configuration,
@@ -61,7 +58,6 @@ from .lent_particle import (
     curve_gamma,
     det_positivity_survey,
     diag_squares_gamma,
-    gamma_quadratic,
     identity_gamma,
     norm_scaled_gamma,
     sharp_sample,
@@ -69,13 +65,9 @@ from .lent_particle import (
 )
 from .chaos import (
     MarkFunction,
-    ProductKernel,
     ResamplingSemigroup,
     chaos_gamma_closed,
     exp_series_check,
-    factorial_measure,
-    mehler_apply,
-    multiple_integral,
     orthogonality_mc,
     product_formula_check,
     pt_apply,

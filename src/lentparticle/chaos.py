@@ -1,16 +1,16 @@
 """Multiple Poisson integrals, their algebraic identities, and second quantization.
 
-The computational definition of the n-fold compensated integral I_n of a
-product kernel is the factorial-measure inclusion-exclusion
+The n-fold compensated integral of the equal-factor kernel u tensor n is
+the factorial-measure inclusion-exclusion
 
-    I_n = sum over subsets J of {1..n} of (-1)^(n-|J|)
-          * prod_{j not in J} nu(u_j) * N^(|J|)(tensor_{j in J} u_j),
+    I_n = sum_k C(n, k) (-nu(u))^(n-k) N^(k)(u tensor k),
 
-where N^(k) sums the product over ordered k-tuples of distinct atoms.  For
-equal factors N^(k) is k! times an elementary symmetric polynomial, which
-the stable descending recurrence evaluates; the exponential generating
-series and the product formula then hold pathwise and serve as tests, not
-definitions.
+where N^(k) sums the product over ordered k-tuples of distinct atoms, that
+is k! times an elementary symmetric polynomial of the u values, which the
+stable descending recurrence evaluates.  Equal-factor kernels reach every
+chaos: by polarization a symmetrized product of n factors is a finite
+signed sum of equal-factor kernels.  The exponential generating series and
+the product formula then hold pathwise and serve as tests, not definitions.
 
 Lending a particle at mark x turns I_n(u tensor n) into I_n + n u(x) I_(n-1)
 (the difference operator D_x I_n = n I_(n-1)), so Gamma[I_i, I_j] is the
@@ -23,7 +23,6 @@ exactly simulatable, and has the closed form
 p_t u = exp(-t) u + (1 - exp(-t)) mean_sigma(u), so its second quantization
 can be verified without nested approximation error.
 """
-
 from __future__ import annotations
 
 import math
@@ -38,18 +37,15 @@ from .configuration import (
     IntensityModel,
     sample_batch,
 )
-from .diagnostics import EstimatorReport, _mean_report, _paired_report, _standard_error
+from .diagnostics import EstimatorReport, _mean_report, _paired_report
 from .functionals import Functional, stack_functionals
 from .lent_particle import GammaSpec, carre_du_champ
 from .rng import chunk_ranges, substream
 
 __all__ = [
     "MarkFunction",
-    "ProductKernel",
     "ChaosError",
-    "factorial_measure",
     "elementary_symmetric",
-    "multiple_integral",
     "multiple_integral_equal",
     "multiple_integral_functional",
     "multiple_integral_batch",
@@ -62,7 +58,6 @@ __all__ = [
     "ResamplingSemigroup",
     "pt_apply",
     "pt_symmetry_check",
-    "mehler_apply",
     "mehler_exponential_check",
     "second_quantization_check",
 ]
@@ -100,31 +95,6 @@ class MarkFunction:
         return np.asarray(self.grad(marks), dtype=float)
 
 
-@dataclass(frozen=True)
-class ProductKernel:
-    """A product kernel u_1 x ... x u_n (symmetrized implicitly), n <= 8."""
-
-    factors: tuple[MarkFunction, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.factors) <= MAX_DEGREE:
-            raise ChaosError(f"product kernels support 1..{MAX_DEGREE} factors")
-
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
-
-    def check_bounds(self, probe_marks: np.ndarray) -> None:
-        for f in self.factors:
-            vals = f(probe_marks)
-            if np.any(np.abs(vals) > f.sup_bound + 1e-12):
-                raise ChaosError(f"factor {f.label!r} exceeds its stated bound")
-
-
-def equal_kernel(u: MarkFunction, n: int) -> ProductKernel:
-    return ProductKernel(factors=(u,) * n)
-
-
 # ---------------------------------------------------------------------------
 # factorial measures and multiple integrals
 # ---------------------------------------------------------------------------
@@ -139,18 +109,6 @@ def elementary_symmetric(values: np.ndarray, kmax: int) -> np.ndarray:
         for k in range(top, 0, -1):
             e[k] += v * e[k - 1]
     return e
-
-
-def factorial_measure(cfg: Configuration, u: Callable[[np.ndarray], np.ndarray], k: int) -> float:
-    """Sum of prod u over ordered k-tuples of distinct atoms: k! e_k(u values)."""
-    if k < 0:
-        raise ChaosError("order k must be >= 0")
-    if k == 0:
-        return 1.0
-    if k > cfg.n_atoms:
-        return 0.0
-    vals = np.asarray(u(cfg.marks), dtype=float)
-    return math.factorial(k) * float(elementary_symmetric(vals, k)[k])
 
 
 def _i_n_from_e(e: np.ndarray, nu_u: float, n: int) -> np.ndarray:
@@ -178,52 +136,6 @@ def multiple_integral_equal(
         nu_u = model.nu_integrate(u)
     vals = u(cfg.marks) if cfg.n_atoms else np.zeros(0)
     return float(_i_n_from_e(elementary_symmetric(vals, n), nu_u, n))
-
-
-def multiple_integral(
-    cfg: Configuration,
-    model: IntensityModel,
-    kernel: ProductKernel,
-) -> float:
-    """I_n of a product kernel; distinct factors go through a subset DP.
-
-    dp[S] accumulates the factorial measure of the sub-product over the
-    factor subset S; the inclusion-exclusion then weights each subset by
-    the intensity integrals of the complementary factors.
-    """
-    n = kernel.degree
-    factors = kernel.factors
-    if all(f is factors[0] for f in factors):
-        return multiple_integral_equal(cfg, model, factors[0], n)
-    nus = np.array([model.nu_integrate(f) for f in factors])
-    vals = (
-        np.vstack([f(cfg.marks) for f in factors]) if cfg.n_atoms else np.zeros((n, 0))
-    )
-    size = 1 << n
-    dp = np.zeros(size)
-    dp[0] = 1.0
-    for a in range(cfg.n_atoms):
-        prev = dp.copy()
-        for s in range(1, size):
-            acc = 0.0
-            j_bits = s
-            while j_bits:
-                low = j_bits & -j_bits
-                j = low.bit_length() - 1
-                acc += prev[s ^ low] * vals[j, a]
-                j_bits ^= low
-            dp[s] += acc
-    total = 0.0
-    for s in range(size):
-        prod_nu = 1.0
-        bits = (~s) & (size - 1)
-        while bits:
-            low = bits & -bits
-            prod_nu *= nus[low.bit_length() - 1]
-            bits ^= low
-        sign = -1.0 if (n - bin(s).count("1")) % 2 else 1.0
-        total += sign * prod_nu * dp[s]
-    return float(total)
 
 
 def multiple_integral_functional(
@@ -510,32 +422,6 @@ def pt_symmetry_check(
     ptu, ptv = pt_apply(sg, u, t), pt_apply(sg, v, t)
     diff = u(marks) * ptv(marks) - v(marks) * ptu(marks)
     return _mean_report(f"pt_symmetry[t={t:g}]", diff, 0.0)
-
-
-def mehler_apply(
-    sg: ResamplingSemigroup,
-    F: Functional,
-    cfg: Configuration,
-    t: float,
-    n_inner: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Inner Monte Carlo of the second-quantized semigroup applied to F at cfg.
-
-    Each atom's mark is independently kept with probability exp(-t) or
-    resampled from the normalized jump measure; returns the inner mean and
-    its standard error.
-    """
-    if n_inner < 1:
-        raise ChaosError("n_inner must be >= 1")
-    if t == 0.0:
-        return float(np.atleast_1d(F.value(cfg))[0]), 0.0
-    moved = sg.move(substream(seed), cfg.marks, t, n_inner)
-    vals = np.empty(n_inner)
-    for rep in range(n_inner):
-        moved_cfg = Configuration(cfg.horizon, cfg.dim, cfg.times, moved[:, rep], cfg.intensity_ref)
-        vals[rep] = float(np.atleast_1d(F.value(moved_cfg))[0])
-    return float(vals.mean()), _standard_error(vals)
 
 
 def mehler_exponential_check(

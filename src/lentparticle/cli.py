@@ -443,7 +443,7 @@ def _run_rajchman(p, model, **_):
 #:            default; a key's type is its default's (None: an optional number),
 #:            and the keys ending in "out" name artifact files
 #:   low      the least value of a count or threshold (every float must also be finite)
-#:   high     the greatest value of a fraction
+#:   high     the greatest value of a fraction or a count
 #:   choices  the allowed values of each named-choice key (others: exit 3)
 EXPERIMENTS: dict[str, dict] = {
     "gamma": {
@@ -502,6 +502,8 @@ EXPERIMENTS: dict[str, dict] = {
             "out": "rajchman.csv", "summary_out": "rajchman.json",
         },
         "low": {"k_max": 0, "nsamples": 0, "tolerance": 0},
+        # u = 2^k pi overflows to inf at k = 1023 and raises at 1024
+        "high": {"k_max": 1022},
     },
 }
 

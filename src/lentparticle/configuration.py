@@ -4,8 +4,9 @@ A configuration is a finite set of timed, vector-valued jump atoms on a
 window [0, T]; it is one realization of a Poisson random measure N with
 intensity dt x sigma on [0, T] x R^d, where sigma is a finite (truncated)
 jump measure.  This module hosts the creation/annihilation operators
-(add_particle / remove_particle), the integrals N(f) and the compensated
-integral, auxiliary uniform marks, and a line-oriented text serialization.
+(add_particle / remove_index), flat batches of sampled configurations with
+their per-sample sums N(f), auxiliary uniform marks, and a line-oriented
+text serialization.
 
 All types are immutable after construction and safe to share across
 workers.  Atom equality is exact equality of the stored (time, mark) reals,
@@ -14,7 +15,8 @@ which is what unambiguous support membership for add/remove requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -32,13 +34,9 @@ __all__ = [
     "sample_batch",
     "BatchedConfigurations",
     "add_particle",
-    "remove_particle",
     "attach_marks",
-    "integrate",
-    "compensated_integrate",
     "write_configuration",
     "read_configuration",
-    "superpose",
 ]
 
 
@@ -196,7 +194,6 @@ class IntensityModel:
     jump_sampler: Callable[[np.random.Generator, int], np.ndarray]
     sigma_integrate: Callable[[Callable[[np.ndarray], np.ndarray]], float]
     mean: np.ndarray
-    diffuse: bool = True
 
     def __post_init__(self) -> None:
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
@@ -257,18 +254,15 @@ class BatchedConfigurations:
     offsets: np.ndarray       # (nsamples + 1,)
     times: np.ndarray         # (total,)
     marks: np.ndarray         # (total, d)
-    _time_order: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def sample_index(self) -> np.ndarray:
         return np.repeat(np.arange(self.nsamples), self.counts)
 
-    @property
+    @cached_property
     def time_order(self) -> np.ndarray:
-        """Flat rows sorted by (sample, time), computed once: a stable argsort per sample."""
-        if self._time_order is None:
-            object.__setattr__(self, "_time_order", np.lexsort((self.times, self.sample_index)))
-        return self._time_order
+        """Flat rows sorted by (sample, time): a stable argsort per sample."""
+        return np.lexsort((self.times, self.sample_index))
 
     def config(self, i: int) -> Configuration:
         # invariants hold by construction (sampler output); skip re-validation
@@ -314,7 +308,9 @@ class BatchedConfigurations:
 
     def _time_ordered(self, counts: np.ndarray, times: np.ndarray, marks: np.ndarray) -> "BatchedConfigurations":
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        return BatchedConfigurations(self.model, counts.size, counts, offsets, times, marks, np.arange(times.size))
+        batch = BatchedConfigurations(self.model, counts.size, counts, offsets, times, marks)
+        batch.__dict__["time_order"] = np.arange(times.size)  # fills the cache: rows are in time order
+        return batch
 
     def with_atom(self, times: np.ndarray, marks: np.ndarray) -> "BatchedConfigurations":
         """Atom (times[i], marks[i]) added to sample i, as add_particle adds it to config(i).
@@ -370,14 +366,6 @@ def sample_batch(model: IntensityModel, nsamples: int, seed: int, *path: int) ->
 # creation / annihilation
 # ---------------------------------------------------------------------------
 
-def _find_atom(cfg: Configuration, a: Atom) -> int:
-    """Index of the atom equal to a, or -1."""
-    i = int(np.searchsorted(cfg.times, a.time))
-    if i < cfg.n_atoms and cfg.times[i] == a.time and tuple(cfg.marks[i]) == a.mark:
-        return i
-    return -1
-
-
 def add_particle(cfg: Configuration, a: Atom) -> Configuration:
     """Insert atom a in time order; identity if a is already in the support."""
     if a.dim != cfg.dim:
@@ -396,14 +384,6 @@ def add_particle(cfg: Configuration, a: Atom) -> Configuration:
     return Configuration._from_arrays_unchecked(cfg.horizon, cfg.dim, times, marks, cfg.intensity_ref)
 
 
-def remove_particle(cfg: Configuration, a: Atom) -> Configuration:
-    """Remove the atom equal to a if present; identity off the support."""
-    i = _find_atom(cfg, a)
-    if i < 0:
-        return cfg
-    return remove_index(cfg, i)
-
-
 def remove_index(cfg: Configuration, i: int) -> Configuration:
     """Remove the i-th atom (used by the per-atom engine loops)."""
     times = np.delete(cfg.times, i)
@@ -417,57 +397,6 @@ def attach_marks(cfg: Configuration, seed: int) -> MarkedConfiguration:
     """Attach one uniform [0,1) auxiliary mark per atom, deterministic per seed."""
     rng = substream(seed)
     return MarkedConfiguration(cfg, rng.random(cfg.n_atoms))
-
-
-def superpose(a: Configuration, b: Configuration, intensity_ref: str = "superposed") -> Configuration:
-    """Merge two configurations on the same window (independent components)."""
-    if a.horizon != b.horizon or a.dim != b.dim:
-        raise ConfigurationError("superposition requires matching horizon and dimension")
-    times = np.concatenate([a.times, b.times])
-    marks = np.concatenate([a.marks, b.marks], axis=0)
-    order = np.argsort(times, kind="stable")
-    return Configuration(a.horizon, a.dim, times[order], marks[order], intensity_ref=intensity_ref)
-
-
-# ---------------------------------------------------------------------------
-# integrals
-# ---------------------------------------------------------------------------
-
-def integrate(cfg: Configuration, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """N(f): sum of f over atoms; f(times (n,), marks (n,d)) -> (n,)."""
-    if cfg.n_atoms == 0:
-        return 0.0
-    return float(np.sum(f(cfg.times, cfg.marks)))
-
-
-def compensated_integrate(
-    cfg: Configuration,
-    model: IntensityModel,
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    time_dependent: bool = False,
-) -> float:
-    """(N - nu)(f) for the truncated intensity nu = dt x sigma.
-
-    Time-homogeneous f costs one sigma quadrature; time-dependent f uses a
-    64-node Gauss-Legendre rule in time on top of the sigma quadrature.
-    """
-    jump_part = integrate(cfg, f)
-    try:
-        if time_dependent:
-            nodes, weights = np.polynomial.legendre.leggauss(64)
-            ts = 0.5 * model.horizon * (nodes + 1.0)
-            ws = 0.5 * model.horizon * weights
-            comp = sum(
-                w * model.sigma_integrate(lambda xs, t=t: f(np.full(len(xs), t), xs))
-                for t, w in zip(ts, ws)
-            )
-        else:
-            comp = model.horizon * model.sigma_integrate(lambda xs: f(np.zeros(len(xs)), xs))
-    except Exception as exc:  # pragma: no cover - quadrature diagnostics
-        raise ConfigurationError(f"compensator quadrature failed: {exc}") from exc
-    if not np.isfinite(comp):
-        raise ConfigurationError(f"compensator quadrature returned {comp}")
-    return jump_part - comp
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,8 @@ __all__ = [
 class EstimatorReport:
     """One verified identity: estimate vs reference with its pass rule.
 
-    Statistical reports pass when |estimate - reference| <= 4 * SE with
-    SE the sample standard deviation over sqrt(nsamples); deterministic
-    (pathwise) reports pass at their stated tolerance.
+    A report passes when |estimate - reference| <= 4 * SE with SE the
+    sample standard deviation over sqrt(nsamples).
     """
 
     name: str
@@ -55,8 +54,6 @@ class EstimatorReport:
     reference: complex | float
     standard_error: float
     nsamples: int
-    statistical: bool = True
-    tolerance: float = 0.0
 
     @property
     def deviation(self) -> float:
@@ -64,9 +61,7 @@ class EstimatorReport:
 
     @property
     def passed(self) -> bool:
-        if self.statistical:
-            return self.deviation <= 4.0 * self.standard_error
-        return self.deviation <= self.tolerance
+        return self.deviation <= 4.0 * self.standard_error
 
     def to_dict(self) -> dict:
         def enc(v):
@@ -80,7 +75,7 @@ class EstimatorReport:
             "reference": enc(self.reference),
             "se": float(self.standard_error),
             "n": int(self.nsamples),
-            "rule": "4se" if self.statistical else f"abs<={self.tolerance:g}",
+            "rule": "4se",
             "pass": bool(self.passed),
         }
 

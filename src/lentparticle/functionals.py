@@ -17,7 +17,7 @@ the linear compensator drift t * mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "batch_values",
     "finite_difference_add_derivative",
     "stack_functionals",
-    "scale_functional",
     "compose_functional",
     "PiecewiseConstant",
     "make_path_eval",
@@ -135,16 +134,6 @@ def stack_functionals(fs: Sequence[Functional], label: str | None = None) -> Fun
         value,
         add_derivative,
         has_closed_derivative=all(f.has_closed_derivative for f in fs),
-    )
-
-
-def scale_functional(f: Functional, c: float) -> Functional:
-    return replace(
-        f,
-        label=f"{c}*{f.label}",
-        value=lambda cfg: c * np.atleast_1d(f.value(cfg)),
-        add_derivative=lambda cfg, t, x: c * f.add_derivative(cfg, t, x),
-        value_batch=None,
     )
 
 

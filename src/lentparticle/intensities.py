@@ -367,7 +367,6 @@ def dyadic_model(
         jump_sampler=sampler,
         sigma_integrate=sigma_int,
         mean=np.array([float(values.sum())]),
-        diffuse=False,
     )
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "GammaSpec",
     "CarreDuChamp",
     "EngineError",
-    "gamma_quadratic",
     "carre_du_champ",
     "sharp_sample",
     "sharp_sample_many",
@@ -208,18 +207,6 @@ def build_gamma(label: str, **params) -> GammaSpec:
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
-
-def gamma_quadratic(spec: GammaSpec, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """The bottom quadratic form u^T alpha(x) v."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not (x.size == u.size == v.size == spec.dim):
-        raise EngineError(
-            f"dimension mismatch: spec d={spec.dim}, x {x.size}, u {u.size}, v {v.size}"
-        )
-    return float(u @ spec.alpha(x) @ v)
-
 
 @dataclass(frozen=True)
 class CarreDuChamp:
@@ -403,11 +390,6 @@ class SurveyResult:
         """Fraction of rows with det above the scale-aware threshold."""
         hits = sum(_scale_aware_pass(r[2], r[3], self.out_dim, self.tol) for r in self.rows)
         return hits / self.nsamples
-
-    @property
-    def simplified_frequency(self) -> float:
-        """Mean per-atom fraction with a passing single contribution."""
-        return sum(r[5] for r in self.rows) / self.nsamples
 
     def to_csv(self) -> str:
         buf = io.StringIO()

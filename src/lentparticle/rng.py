@@ -34,9 +34,10 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
     """Map fn over items, optionally with a process pool.
 
     Results are returned in item order regardless of jobs, so output is
-    deterministic for deterministic fn.
+    deterministic for deterministic fn.  The pool starts at most one worker
+    per item.
     """
     if jobs is None or jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,17 +9,12 @@ from hypothesis import strategies as st
 from lentparticle.chaos import (
     ChaosError,
     MarkFunction,
-    ProductKernel,
     ResamplingSemigroup,
     chaos_gamma_alternating,
     chaos_gamma_closed,
     elementary_symmetric,
-    equal_kernel,
     exp_series_check,
-    factorial_measure,
-    mehler_apply,
     mehler_exponential_check,
-    multiple_integral,
     multiple_integral_batch,
     multiple_integral_equal,
     multiple_integral_functional,
@@ -29,7 +25,8 @@ from lentparticle.chaos import (
     second_quantization_check,
 )
 from lentparticle.configuration import Configuration, remove_index, sample_batch, sample_configuration
-from lentparticle.functionals import finite_difference_add_derivative, make_doleans, stack_functionals
+from lentparticle.diagnostics import EstimatorReport
+from lentparticle.functionals import finite_difference_add_derivative, stack_functionals
 from lentparticle.intensities import uniform_model
 from lentparticle.lent_particle import carre_du_champ, diag_squares_gamma
 from lentparticle.rng import substream
@@ -45,18 +42,57 @@ EMPTY = Configuration(1.0, 1, [], [], "manual")
 SPEC = diag_squares_gamma(1)
 
 
+def _factorial_measure(cfg, u, k):
+    """N^(k)(u tensor k), the sum over ordered k-tuples of distinct atoms: k! e_k(u values)."""
+    return math.factorial(k) * float(elementary_symmetric(u(cfg.marks), k)[k])
+
+
+def _polarized(cfg, model, factors):
+    """I_n of the symmetrized product of the factors by polarization.
+
+    The signed sum over eps in {+1, -1}^n of prod(eps) I_n((sum_j eps_j u_j) tensor n),
+    divided by n! 2^n: every term is an equal-factor integral.
+    """
+    n = len(factors)
+    total = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=n):
+        w = MarkFunction(
+            lambda xs, signs=signs: sum(e * f(xs) for e, f in zip(signs, factors)),
+            sup_bound=sum(f.sup_bound for f in factors),
+        )
+        total += math.prod(signs) * multiple_integral_equal(cfg, model, w, n)
+    return total / (math.factorial(n) * 2**n)
+
+
+def _inclusion_exclusion(cfg, model, factors):
+    """I_n of u_1 x ... x u_n from ordered tuples of distinct atoms, weighted by nu of the rest."""
+    n = len(factors)
+    vals = [f(cfg.marks) for f in factors]
+    nus = [model.nu_integrate(f) for f in factors]
+    total = 0.0
+    for inside in itertools.product((False, True), repeat=n):
+        js = [j for j in range(n) if inside[j]]
+        measure = sum(
+            math.prod(vals[j][a] for j, a in zip(js, atoms))
+            for atoms in itertools.permutations(range(cfg.n_atoms), len(js))
+        )
+        rest = math.prod(nus[j] for j in range(n) if not inside[j])
+        total += (-1.0) ** (n - len(js)) * rest * measure
+    return total
+
+
 class TestFactorialMeasure:
     def test_order_one(self):
-        assert factorial_measure(EX1, U_ID, 1) == pytest.approx(0.3)
+        assert _factorial_measure(EX1, U_ID, 1) == pytest.approx(0.3)
 
     def test_order_two_ordered_pairs(self):
-        assert factorial_measure(EX1, U_ID, 2) == pytest.approx(-0.2)
+        assert _factorial_measure(EX1, U_ID, 2) == pytest.approx(-0.2)
 
     def test_order_exceeds_atoms(self):
-        assert factorial_measure(EX1, U_ID, 3) == 0.0
+        assert _factorial_measure(EX1, U_ID, 3) == 0.0
 
     def test_order_zero(self):
-        assert factorial_measure(EX1, U_ID, 0) == 1.0
+        assert _factorial_measure(EX1, U_ID, 0) == 1.0
 
     @given(st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=7), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -98,17 +134,14 @@ class TestMultipleIntegral:
     def test_degree_cap(self):
         with pytest.raises(ChaosError):
             multiple_integral_equal(EX1, MODEL01, U_ID, 9)
-        with pytest.raises(ChaosError):
-            ProductKernel(factors=(U_ID,) * 9)
 
     def test_factor_symmetry(self):
+        # a degree-3 product kernel in two factor orders, by polarization
         w = MarkFunction(lambda xs: np.cos(xs[:, 0]), sup_bound=1.0, label="cos")
         cfg = sample_configuration(SYM, 3)
-        k1 = ProductKernel(factors=(U_ID, V_SQ, w))
-        k2 = ProductKernel(factors=(w, U_ID, V_SQ))
-        a = multiple_integral(cfg, SYM, k1)
-        b = multiple_integral(cfg, SYM, k2)
-        assert a == pytest.approx(b, rel=1e-12)
+        brute = _inclusion_exclusion(cfg, SYM, (U_ID, V_SQ, w))
+        assert _polarized(cfg, SYM, (U_ID, V_SQ, w)) == pytest.approx(brute, rel=1e-12)
+        assert _polarized(cfg, SYM, (w, U_ID, V_SQ)) == pytest.approx(brute, rel=1e-12)
 
     def test_distinct_factors_brute_force(self):
         cfg = sample_configuration(SYM, 5)
@@ -119,12 +152,12 @@ class TestMultipleIntegral:
         n = cfg.n_atoms
         n2 = sum(uu[i] * vv[j] for i in range(n) for j in range(n) if i != j)
         brute = n2 - nu_u * vv.sum() - nu_v * uu.sum() + nu_u * nu_v
-        got = multiple_integral(cfg, SYM, ProductKernel(factors=(U_ID, V_SQ)))
-        assert got == pytest.approx(brute, rel=1e-12)
+        assert _polarized(cfg, SYM, (U_ID, V_SQ)) == pytest.approx(brute, rel=1e-12)
 
     def test_equal_kernel_consistency(self):
+        # polarization of equal factors gives back the equal-factor integral
         cfg = sample_configuration(SYM, 6)
-        a = multiple_integral(cfg, SYM, equal_kernel(U_ID, 3))
+        a = _polarized(cfg, SYM, (U_ID,) * 3)
         b = multiple_integral_equal(cfg, SYM, U_ID, 3)
         assert a == pytest.approx(b, rel=1e-12)
 
@@ -290,23 +323,21 @@ class TestSemigroup:
         assert rep.passed
 
     def test_mehler_t_zero_exact(self):
-        F = make_doleans(SYM, 1.0)
-        cfg = sample_configuration(SYM, 12)
-        val, se = mehler_apply(self.SG, F, cfg, 0.0, 16, seed=0)
-        assert val == float(F.value(cfg)[0]) and se == 0.0
+        # at t = 0 every motion keeps every mark
+        marks = sample_configuration(SYM, 12).marks
+        moved = self.SG.move(substream(0), marks, 0.0, 16)
+        assert np.array_equal(moved, np.repeat(marks[:, None, :], 16, axis=1))
 
     def test_mehler_linear_functional_identity(self):
         # conditional mean of N(g) after motion is N(p_t g)
-        from lentparticle.functionals import with_fd_derivative
-
         g = MarkFunction(lambda xs: np.cos(xs[:, 0]), sup_bound=1.0)
-        F = with_fd_derivative("N(g)", 1, 1, lambda c: np.array([float(np.sum(g(c.marks)))]))
         cfg = sample_configuration(SYM, 21)
         t = 0.4
         n_inner = 20_000
-        val, se = mehler_apply(self.SG, F, cfg, t, n_inner, seed=3)
+        moved = self.SG.move(substream(3), cfg.marks, t, n_inner)
+        vals = g(moved.reshape(-1, 1)).reshape(cfg.n_atoms, n_inner).sum(axis=0)
         ref = float(np.sum(pt_apply(self.SG, g, t)(cfg.marks)))
-        assert abs(val - ref) <= 4.0 * se
+        assert abs(vals.mean() - ref) <= 4.0 * vals.std(ddof=1) / math.sqrt(n_inner)
 
     def test_mehler_exponential_identity(self):
         g = MarkFunction(lambda xs: -0.4 / (1.0 + xs[:, 0] ** 2), sup_bound=0.4)
@@ -352,7 +383,13 @@ def test_sharp_sampling_of_chaos_functional_matches_closed_gamma():
     assert abs(sq.mean() - gamma) <= 4.0 * sq.std(ddof=1) / math.sqrt(n)
 
 
-def test_kernel_bounds_check():
-    k = ProductKernel(factors=(MarkFunction(lambda xs: 2.0 * xs[:, 0], sup_bound=0.5),))
-    with pytest.raises(ChaosError):
-        k.check_bounds(np.array([[0.9]]))
+@pytest.mark.parametrize("n, reference", [(1, 4.0 / 3.0), (2, 64.0 / 9.0)])
+def test_fock_space_mean_of_chaos_gamma(n, reference):
+    # Mecke: E Gamma[I_n(u tensor n)] = n n! nu(u^2)^(n-1) nu(gamma[u]); for u = x and
+    # alpha(x) = x^2 on rate 4 over [-1, 1], nu(u^2) = nu(gamma[u]) = 4/3
+    assert SYM.nu_integrate(lambda xs: xs[:, 0] ** 2) == pytest.approx(4.0 / 3.0, rel=1e-12)
+    F = multiple_integral_functional(SYM, U_ID, n)
+    gammas = np.array([carre_du_champ(F, sample_configuration(SYM, 61, i), SPEC).matrix[0, 0] for i in range(4000)])
+    se = float(gammas.std(ddof=1) / math.sqrt(gammas.size))
+    report = EstimatorReport(f"fock_mean[n={n}]", float(gammas.mean()), reference, se, gammas.size)
+    assert report.passed, report

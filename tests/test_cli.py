@@ -322,9 +322,14 @@ class TestExitCodes:
                 "[experiment]\nkind = chaos\nseed = 1\nproduct_tol = -1\n",
                 "line 9, column 1: product_tol must be >= 0, got -1.0",
             ),
+            (
+                # 2^k pi overflows past k = 1022
+                "[model]\nfamily = dyadic\nhorizon = 1.0\n\n[experiment]\nkind = rajchman\nseed = 1\nk_max = 1024\n",
+                "line 8, column 1: k_max must be <= 1022, got 1024",
+            ),
         ],
         ids=["gamma_negative_tol", "survey_nan_tol", "survey_frequency_above_1", "identity_negative_fraction",
-             "chaos_infinite_tol", "chaos_negative_tol"],
+             "chaos_infinite_tol", "chaos_negative_tol", "rajchman_k_max_overflow"],
     )
     def test_thresholds_out_of_range_exit_2(self, tmp_path, capsys, text, error):
         path = tmp_path / "threshold.cfg"

@@ -14,14 +14,10 @@ from lentparticle.configuration import (
     InvalidModelError,
     add_particle,
     attach_marks,
-    compensated_integrate,
-    integrate,
     read_configuration,
     remove_index,
-    remove_particle,
     sample_batch,
     sample_configuration,
-    superpose,
     write_configuration,
 )
 from lentparticle.intensities import (
@@ -32,6 +28,7 @@ from lentparticle.intensities import (
     power_model,
     uniform_model,
 )
+from lentparticle.rng import substream
 
 
 def cfg_1d(pairs, horizon=1.0):
@@ -103,13 +100,6 @@ class TestSampling:
         res = stats.chisquare(observed, expected)
         assert res.pvalue >= 1e-3
 
-    def test_superpose_merges_sorted(self):
-        a = cfg_1d([(0.1, 1.0), (0.8, 2.0)])
-        b = cfg_1d([(0.4, -1.0)])
-        merged = superpose(a, b)
-        assert merged.n_atoms == 3
-        assert np.all(np.diff(merged.times) > 0)
-
 
 class TestParticleAlgebra:
     def test_add_inserts_in_order(self):
@@ -126,18 +116,15 @@ class TestParticleAlgebra:
 
     def test_remove_present(self):
         two = cfg_1d([(0.3, 0.5), (0.7, -0.2)])
-        assert remove_particle(two, Atom(0.7, [-0.2])) == FIXTURE
-
-    def test_remove_off_support_is_identity(self):
-        assert remove_particle(FIXTURE, Atom(0.9, [1.0])) == FIXTURE
+        assert remove_index(two, 1) == FIXTURE
 
     def test_add_then_remove_is_identity_bit_exact(self):
         a = Atom(0.51, [0.125])
-        assert remove_particle(add_particle(FIXTURE, a), a) == FIXTURE
+        assert remove_index(add_particle(FIXTURE, a), 1) == FIXTURE
 
     def test_remove_then_add_on_support(self):
         a = Atom(0.3, [0.5])
-        assert add_particle(remove_particle(FIXTURE, a), a) == FIXTURE
+        assert add_particle(remove_index(FIXTURE, 0), a) == FIXTURE
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -162,7 +149,7 @@ class TestParticleAlgebra:
                     add_particle(FIXTURE, a)
             return
         grown = add_particle(FIXTURE, a)
-        assert remove_particle(grown, a) == FIXTURE
+        assert remove_index(grown, int(np.searchsorted(grown.times, t))) == FIXTURE
         assert add_particle(grown, a) == grown
 
 
@@ -258,6 +245,14 @@ class TestBatchProtocol:
         # its rows are in time order, which duality_check's in-order sums rely on
         assert np.array_equal(part.time_order, np.arange(part.times.size))
 
+    def test_row_maps_computed_once(self):
+        batch = sample_batch(BATCH_MODEL, 50, seed=9)
+        assert batch.sample_index is batch.sample_index and batch.time_order is batch.time_order
+        # a built batch starts with the time order of its rows cached
+        loo = batch.with_atom(np.full(50, 0.5), np.full((50, 1), 0.25)).leave_one_out()
+        owner = np.repeat(np.arange(loo.nsamples), loo.counts)
+        assert np.array_equal(loo.time_order, np.lexsort((loo.times, owner)))
+
 
 class TestMarks:
     def test_empty(self):
@@ -278,22 +273,26 @@ class TestMarks:
 
 
 class TestIntegrals:
+    """N(f) is the batch's per-sample sum; (N - nu)(f) subtracts the quadrature nu(f)."""
+
+    TWO = [(0.3, 0.5), (0.7, -0.2)]
+
     def test_sum_of_marks(self):
-        two = cfg_1d([(0.3, 0.5), (0.7, -0.2)])
-        assert integrate(two, lambda ts, xs: xs[:, 0]) == pytest.approx(0.3)
+        batch = batch_of(BATCH_MODEL, [self.TWO])
+        assert batch.sum_per_sample(batch.marks[:, 0])[0] == pytest.approx(0.3)
 
     def test_empty_is_zero(self):
-        empty = Configuration(1.0, 1, [], [], "manual")
-        assert integrate(empty, lambda ts, xs: xs[:, 0] ** 2) == 0.0
+        batch = batch_of(BATCH_MODEL, [[]])
+        assert batch.sum_per_sample(batch.marks[:, 0] ** 2)[0] == 0.0
 
     def test_constant_counts_atoms(self):
-        two = cfg_1d([(0.3, 0.5), (0.7, -0.2)])
-        assert integrate(two, lambda ts, xs: np.ones(len(ts))) == 2.0
+        batch = batch_of(BATCH_MODEL, [self.TWO, [], [(0.5, 1.0)]])
+        assert batch.sum_per_sample(np.ones(batch.times.size)).tolist() == [2.0, 0.0, 1.0]
 
     def test_compensated_zero_mean_model(self):
         model = uniform_model(1.0, rate=2.0, low=-0.9, high=0.9)
-        two = cfg_1d([(0.3, 0.5), (0.7, -0.2)])
-        val = compensated_integrate(two, model, lambda ts, xs: xs[:, 0])
+        batch = batch_of(model, [self.TWO])
+        val = batch.sum_per_sample(batch.marks[:, 0])[0] - model.nu_integrate(lambda xs: xs[:, 0])
         assert val == pytest.approx(0.3, abs=1e-12)
 
     def test_compensated_centering_mc(self):
@@ -332,15 +331,6 @@ class TestIntegrals:
         c2 = np.bincount(batch.sample_index[~early], minlength=n)
         prod = (c1 - 1.5) * (c2 - 1.5)
         assert abs(prod.mean()) <= 4.0 * prod.std(ddof=1) / math.sqrt(n)
-
-    def test_time_dependent_compensator(self):
-        model = uniform_model(1.0, rate=2.0, low=0.0, high=1.0)
-        empty = Configuration(1.0, 1, [], [], "manual")
-        # integral of t * x over [0,1] x sigma: (1/2) * rate * E[x] = 0.5
-        val = compensated_integrate(
-            empty, model, lambda ts, xs: ts * xs[:, 0], time_dependent=True
-        )
-        assert val == pytest.approx(-0.5, abs=1e-9)
 
 
 class TestSerialization:
@@ -419,6 +409,7 @@ def test_mean_matches_coordinate_quadrature(name):
 
 def test_dyadic_flagged_non_diffuse():
     model = dyadic_model(1.0, 0, 8)
-    assert not model.diffuse
+    # an atomic jump measure: marks repeat among its 9 atoms
+    assert np.unique(model.sample_marks(substream(5), 1000)).size <= 9
     assert model.rate == 9.0
     assert model.mean[0] == pytest.approx(2.0 - 2.0**-8, abs=1e-15)

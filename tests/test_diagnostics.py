@@ -32,10 +32,6 @@ class TestEstimatorReport:
         r2 = EstimatorReport("x", 1.0000001, 0.0, standard_error=0.25, nsamples=10)
         assert not r2.passed
 
-    def test_deterministic_rule(self):
-        r = EstimatorReport("x", 1.0, 1.0 + 1e-9, 0.0, 1, statistical=False, tolerance=1e-8)
-        assert r.passed
-
     def test_json_round(self):
         r = EstimatorReport("x", complex(1, 2), complex(1, 2), 0.1, 5)
         d = r.to_dict()
