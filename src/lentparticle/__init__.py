@@ -44,7 +44,6 @@ from .intensities import (
     curve_model,
     dyadic_model,
     gauss_model,
-    parabola_curve,
     polar_model,
     power_model,
     uniform_model,

@@ -292,8 +292,7 @@ def orthogonality_mc(
 # ---------------------------------------------------------------------------
 
 def _gamma_uv(spec: GammaSpec, u: MarkFunction, v: MarkFunction, marks: np.ndarray) -> np.ndarray:
-    alphas = np.reshape([spec.alpha(x) for x in marks], (len(marks), spec.dim, spec.dim))
-    return np.einsum("ai,aij,aj->a", u.gradient(marks), alphas, v.gradient(marks))
+    return np.einsum("ai,aij,aj->a", u.gradient(marks), spec.alpha(marks), v.gradient(marks))
 
 
 def _full_integrals(cfg: Configuration, u: MarkFunction, order: int, nu_u: float) -> tuple[np.ndarray, np.ndarray]:

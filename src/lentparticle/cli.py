@@ -41,6 +41,7 @@ from .configuration import (
     Configuration,
     ConfigurationError,
     InvalidModelError,
+    csv_text,
     sample_configuration,
     write_configuration,
 )
@@ -418,14 +419,25 @@ def _run_density(p, model, functional, **_):
     return ok, files
 
 
-def _run_rajchman(p, model, **_):
-    if model.family != "atomic-dyadic":
-        model = dyadic_model(horizon=model.horizon)
-    demo = rajchman_demo(model, p["k_max"], p["nsamples"], p["seed"])
+def _run_rajchman(p, model, sections, **_):
+    # the atoms 2^-n, n = n_start..n_max: the [model] keys, or dyadic_model's defaults
+    if model.family == "atomic-dyadic":
+        given = sections["model"]
+    else:
+        given, model = {}, dyadic_model(horizon=model.horizon)
+    n_start, n_max = int(given.get("n_start", 0)), int(given.get("n_max", 30))
+    if not n_start <= p["k_max"] <= n_max - 4:
+        # from k = n_max - 3 the missing atoms below 2^-n_max move the modulus off its limit
+        exp = sections["experiment"]
+        raise ConfigParseError(
+            f"k_max must be in [n_start, n_max - 4] = [{n_start}, {n_max - 4}], got {p['k_max']}",
+            *exp.pos.get("k_max", exp.at),
+        )
+    demo = rajchman_demo(model, p["k_max"], p["nsamples"], p["seed"], k_min=n_start)
     closed, limit = np.array(demo["closed_modulus"]), demo["limit"]
     passed = bool(np.all(np.abs(closed - limit) <= p["tolerance"]))
-    body = "k,u,closed_modulus\n" + "".join(
-        f"{k},{2.0**k * math.pi:.17g},{c:.17g}\n" for k, c in zip(demo["u_exponents"], closed)
+    body = csv_text(
+        "k,u,closed_modulus", ((k, 2.0**k * math.pi, c) for k, c in zip(demo["u_exponents"], closed))
     )
     print(f"constant modulus {limit:.6f}; max deviation {np.abs(closed - limit).max():.2e}")
     summary = {

@@ -37,6 +37,7 @@ __all__ = [
     "attach_marks",
     "write_configuration",
     "read_configuration",
+    "csv_text",
 ]
 
 
@@ -410,6 +411,12 @@ def write_configuration(cfg: Configuration) -> str:
         row = " ".join(f"{v:.17g}" for v in (cfg.times[i], *cfg.marks[i]))
         lines.append(row)
     return "\n".join(lines) + "\n"
+
+
+def csv_text(header: str, rows) -> str:
+    """A CSV body: the header line, then one line per row; integers as is, other numbers to 17 digits."""
+    lines = (",".join(str(v) if isinstance(v, (int, np.integer)) else f"{v:.17g}" for v in row) for row in rows)
+    return "\n".join([header, *lines]) + "\n"
 
 
 def read_configuration(text: str, intensity_ref: str = "manual") -> Configuration:

@@ -19,6 +19,7 @@ import numpy as np
 from .configuration import (  # noqa: F401  add_particle, remove_index: named by perfbench/spans.py
     IntensityModel,
     add_particle,
+    csv_text,
     remove_index,
     sample_batch,
 )
@@ -281,18 +282,11 @@ class DensityCurve:
     atom: tuple[float, ...] | None = None  # location when the sample is degenerate
 
     def to_csv(self) -> str:
-        lines = []
         if self.dim == 1:
-            lines.append("x,density")
-            for x, d in zip(self.grid[0], self.density):
-                lines.append(f"{x:.17g},{d:.17g}")
-        else:
-            lines.append("x,y,density")
-            gx, gy = self.grid
-            for i, x in enumerate(gx):
-                for j, y in enumerate(gy):
-                    lines.append(f"{x:.17g},{y:.17g},{self.density[i, j]:.17g}")
-        return "\n".join(lines) + "\n"
+            return csv_text("x,density", zip(self.grid[0], self.density))
+        gx, gy = self.grid
+        rows = ((x, y, self.density[i, j]) for i, x in enumerate(gx) for j, y in enumerate(gy))
+        return csv_text("x,y,density", rows)
 
 
 # KDE grid points: per axis in 1-d, and per axis of the 2-d tensor grid
@@ -368,10 +362,7 @@ class EcfCurve:
     nsamples: int
 
     def to_csv(self) -> str:
-        lines = ["u,modulus,se"]
-        for u, m in zip(self.u, self.modulus):
-            lines.append(f"{u:.17g},{m:.17g},{self.se_band:.17g}")
-        return "\n".join(lines) + "\n"
+        return csv_text("u,modulus,se", ((u, m, self.se_band) for u, m in zip(self.u, self.modulus)))
 
 
 def ecf(
@@ -431,20 +422,24 @@ def rajchman_demo(
     k_max: int = 8,
     nsamples: int = 0,
     seed: int = 0,
+    k_min: int = 0,
 ) -> dict:
-    """Constant characteristic-function modulus at u = 2^k pi on the dyadic model.
+    """Constant characteristic-function modulus at u = 2^k pi, k = k_min..k_max, on the dyadic model.
 
     The law of the compensated linear functional is continuous but its
-    characteristic function does not vanish along this geometric sequence;
-    the closed-form route resolves the ~0.03 moduli exactly, with an
-    optional Monte Carlo overlay.
+    characteristic function does not vanish along this geometric sequence:
+    on the atoms 2^-n, n = n_start..n_max, the modulus at k = n_start..n_max - 4
+    is dyadic_modulus_limit() ** horizon to within 7e-4.  The closed-form
+    route resolves the ~0.03 moduli exactly, with an optional Monte Carlo
+    overlay.
     """
-    u = np.array([2.0**k * math.pi for k in range(k_max + 1)])
+    ks = list(range(k_min, k_max + 1))
+    u = np.array([2.0**k * math.pi for k in ks])
     closed = ecf_reference_linear(model, u)
     out = {
-        "u_exponents": list(range(k_max + 1)),
+        "u_exponents": ks,
         "closed_modulus": closed.tolist(),
-        "limit": dyadic_modulus_limit(),
+        "limit": dyadic_modulus_limit() ** model.horizon,
     }
     if nsamples:
         from .functionals import make_path_eval

@@ -14,7 +14,6 @@ Symmetric families set their compensator mean to exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,8 +26,6 @@ __all__ = [
     "gauss_model",
     "power_model",
     "polar_model",
-    "CurveMap",
-    "parabola_curve",
     "curve_model",
     "dyadic_model",
     "MODEL_FAMILIES",
@@ -264,61 +261,28 @@ def polar_model(
     )
 
 
-@dataclass(frozen=True)
-class CurveMap:
-    """An injective parametrization u -> (f(u), g(u)) of a planar curve."""
-
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
-    fprime: Callable[[np.ndarray], np.ndarray]
-    gprime: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray]  # marks (n,2) -> parameters (n,)
-
-    def image(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(u)
-        return np.column_stack([self.f(u), self.g(u)])
-
-    def tangent(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(u)
-        return np.column_stack([self.fprime(u), self.gprime(u)])
-
-
-def parabola_curve() -> CurveMap:
-    """u -> (u, u^2): the jump measure of (X, [X]) lives on this curve."""
-    return CurveMap(
-        f=lambda u: u,
-        g=lambda u: u**2,
-        fprime=lambda u: np.ones_like(u),
-        gprime=lambda u: 2.0 * u,
-        inverse=lambda marks: marks[:, 0],
-    )
-
-
 def curve_model(
     horizon: float,
-    curve: CurveMap | None = None,
     c: float = 1.0,
     a: float = 0.5,
     epsilon: float = 1e-2,
     label: str | None = None,
 ) -> IntensityModel:
-    """Planar jump measure carried by a curve: image of a 1-d power model.
+    """Planar jump measure carried by the parabola u -> (u, u^2): image of a 1-d power model.
 
     The base parameter follows the truncated power density c u^(-1-a) on
-    (epsilon, 1); marks are (f(u), g(u)).
+    (epsilon, 1); the jump measure of (X, [X]) lives on this curve.
     """
-    curve = curve or parabola_curve()
     base = power_model(horizon, c=c, a=a, epsilon=epsilon, symmetric=False)
 
+    def image(u: np.ndarray) -> np.ndarray:
+        return np.column_stack([u, u**2])
+
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        u = base.jump_sampler(rng, n)[:, 0]
-        return curve.image(u)
+        return image(base.jump_sampler(rng, n)[:, 0])
 
     def sigma_int(f2):
-        def on_param(us: np.ndarray) -> np.ndarray:
-            return np.asarray(f2(curve.image(us[:, 0])))
-
-        return base.sigma_integrate(on_param)
+        return base.sigma_integrate(lambda us: np.asarray(f2(image(us[:, 0]))))
 
     mean = np.array(
         [sigma_int(lambda xs, j=j: xs[:, j]) for j in range(2)]
@@ -347,8 +311,8 @@ def dyadic_model(
     add/remove support-algebra property checks.  Integration is the exact
     finite sum over atoms.
     """
-    if n_max < n_start:
-        raise InvalidModelError("dyadic family needs n_max >= n_start")
+    if n_max < n_start or n_start != int(n_start) or n_max != int(n_max):
+        raise InvalidModelError(f"dyadic family needs integers n_max >= n_start, got {n_start}..{n_max}")
     values = 2.0 ** (-np.arange(n_start, n_max + 1, dtype=float))
     rate = float(values.size)
 

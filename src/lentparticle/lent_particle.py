@@ -17,7 +17,6 @@ E[sharp sharp^T | configuration] = Gamma.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,6 +27,7 @@ from .configuration import (
     Configuration,
     IntensityModel,
     MarkedConfiguration,
+    csv_text,
     remove_index,
     sample_configuration,
 )
@@ -37,7 +37,6 @@ from .functionals import (
     finite_difference_add_derivative,
     stack_functionals,
 )
-from .intensities import CurveMap, parabola_curve
 from .rng import substream
 
 __all__ = [
@@ -64,13 +63,6 @@ class EngineError(RuntimeError):
     """Raised when a derivative is non-finite or dimensions disagree."""
 
 
-def _default_basis(k: int) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
-    """Zero-mean orthonormal functions on [0, 1): sqrt(2) cos(2 pi j r)."""
-    return tuple(
-        (lambda r, j=j: math.sqrt(2.0) * np.cos(2.0 * math.pi * j * np.asarray(r))) for j in range(1, k + 1)
-    )
-
-
 def _chol_with_jitter(a: np.ndarray) -> np.ndarray:
     tr = float(np.trace(a))
     if tr == 0.0:
@@ -82,109 +74,105 @@ def _chol_with_jitter(a: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
 
 
+def _transpose(a: np.ndarray) -> np.ndarray:
+    """Each matrix of a (n, p, q) stack transposed: (n, q, p)."""
+    return a.transpose(0, 2, 1)
+
+
 @dataclass(frozen=True)
 class GammaSpec:
-    """Bottom carre du champ alpha(x) with a factorization realizing it.
+    """Bottom carre du champ alpha on marks with a factorization realizing it.
 
-    `alpha` maps a mark (d,) to a symmetric PSD (d, d) matrix; `chol`
-    returns L(x) with L L^T = alpha(x); `mark_basis` holds k >= d zero-mean
-    orthonormal functions on [0, 1) used by the gradient sampler.
+    `alpha` maps a mark array (n, d) to the stack of symmetric PSD (n, d, d)
+    matrices alpha(x_a); `chol` maps it to factors L(x_a) with
+    L L^T = alpha(x_a) (default: a jittered Cholesky of each matrix).
     """
 
     label: str
     dim: int
     alpha: Callable[[np.ndarray], np.ndarray]
     chol: Callable[[np.ndarray], np.ndarray] | None = None
-    mark_basis: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.chol is None:
-            object.__setattr__(self, "chol", lambda x: _chol_with_jitter(self.alpha(x)))
-        if self.mark_basis is None:
-            object.__setattr__(self, "mark_basis", _default_basis(self.dim))
-        if len(self.mark_basis) < self.dim:
-            raise EngineError("need at least d mark-basis functions")
+            object.__setattr__(self, "chol", self._jittered_chol)
+
+    def _jittered_chol(self, xs: np.ndarray) -> np.ndarray:
+        return np.reshape([_chol_with_jitter(a) for a in self.alpha(xs)], (len(xs), self.dim, self.dim))
 
     def eta(self, r: np.ndarray) -> np.ndarray:
-        """First d basis functions at r: shape r.shape + (d,)."""
-        r = np.asarray(r)
-        return np.stack([self.mark_basis[j](r) for j in range(self.dim)], axis=-1)
+        """sqrt(2) cos(2 pi j r) for j = 1..d, zero-mean and orthonormal on [0, 1): shape r.shape + (d,)."""
+        j = np.arange(1, self.dim + 1)
+        return math.sqrt(2.0) * np.cos(2.0 * math.pi * j * np.asarray(r)[..., None])
 
     def validate(self, probe_marks: np.ndarray) -> None:
-        """Check symmetry/PSD of alpha, the factorization, and the basis."""
-        for x in np.atleast_2d(probe_marks):
-            a = self.alpha(x)
-            if not np.allclose(a, a.T, atol=1e-12):
-                raise EngineError(f"alpha not symmetric at {x}")
-            w = np.linalg.eigvalsh(0.5 * (a + a.T))
-            if w.min() < -1e-10 * max(1.0, abs(w).max()):
-                raise EngineError(f"alpha not PSD at {x}: eigenvalues {w}")
-            l = self.chol(x)
-            if not np.allclose(l @ l.T, a, atol=1e-10 * max(1.0, abs(a).max())):
-                raise EngineError(f"cholesky factor mismatch at {x}")
-        nodes, weights = np.polynomial.legendre.leggauss(200)
-        r = 0.5 * (nodes + 1.0)
-        w = 0.5 * weights
-        vals = np.stack([b(r) for b in self.mark_basis])
-        means = vals @ w
-        gram = (vals * w) @ vals.T
-        if np.abs(means).max() > 1e-8:
-            raise EngineError(f"basis not zero-mean: {means}")
-        if np.abs(gram - np.eye(len(self.mark_basis))).max() > 1e-8:
-            raise EngineError("basis not orthonormal on [0, 1)")
+        """Check that alpha is symmetric and PSD and that chol factors it, at every probe mark."""
+        xs = np.atleast_2d(probe_marks)
+        a = self.alpha(xs)
+        w = np.linalg.eigvalsh(0.5 * (a + _transpose(a)))
+        l = self.chol(xs)
+        scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))[:, None, None]
+        for bad, what in (
+            (~np.isclose(a, _transpose(a), atol=1e-12).all(axis=(1, 2)), "alpha not symmetric"),
+            (w.min(axis=1) < -1e-10 * np.maximum(1.0, np.abs(w).max(axis=1)), "alpha not PSD"),
+            (~np.isclose(l @ _transpose(l), a, atol=1e-10 * scale).all(axis=(1, 2)), "cholesky factor mismatch"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise EngineError(f"{what} at {xs[i]}: alpha = {a[i].tolist()}")
 
 
 def diag_squares_gamma(dim: int = 1) -> GammaSpec:
     """alpha(x) = diag(x_i^2): differentiation weighted by the jump size."""
+    eye = np.eye(dim)
     return GammaSpec(
         label=f"diag_x2(d={dim})",
         dim=dim,
-        alpha=lambda x: np.diag(np.asarray(x, dtype=float) ** 2),
-        chol=lambda x: np.diag(np.abs(np.asarray(x, dtype=float))),
+        alpha=lambda xs: eye * (np.asarray(xs, dtype=float) ** 2)[:, None, :],
+        chol=lambda xs: eye * np.abs(np.asarray(xs, dtype=float))[:, None, :],
     )
 
 
 def identity_gamma(dim: int = 1) -> GammaSpec:
-    return GammaSpec(
-        label=f"identity(d={dim})",
-        dim=dim,
-        alpha=lambda x: np.eye(dim),
-        chol=lambda x: np.eye(dim),
-    )
+    eyes = lambda xs: np.tile(np.eye(dim), (len(xs), 1, 1))
+    return GammaSpec(label=f"identity(d={dim})", dim=dim, alpha=eyes, chol=eyes)
 
 
 def norm_scaled_gamma(dim: int = 2) -> GammaSpec:
     """alpha(x) = |x|^2 I: rotation-invariant weight, vanishing at the origin."""
+    eye = np.eye(dim)
+
+    def squared_norms(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        return xs[:, None, :] @ xs[:, :, None]  # (n, 1, 1)
+
     return GammaSpec(
         label=f"polar(d={dim})",
         dim=dim,
-        alpha=lambda x: float(np.dot(x, x)) * np.eye(dim),
-        chol=lambda x: float(np.linalg.norm(x)) * np.eye(dim),
+        alpha=lambda xs: squared_norms(xs) * eye,
+        chol=lambda xs: np.sqrt(squared_norms(xs)) * eye,
     )
 
 
-def curve_gamma(
-    curve: CurveMap | None = None,
-    base_gamma: Callable[[float], float] = lambda u: u * u,
-) -> GammaSpec:
-    """Pull-back carre du champ for a jump measure carried by a planar curve.
+def curve_gamma() -> GammaSpec:
+    """Pull-back carre du champ for a jump measure carried by the parabola u -> (u, u^2).
 
-    With tangent v(u) = (f'(u), g'(u)) and base carre du champ gtilde(u) on
-    the parameter, alpha = gtilde(u) v v^T: rank one by construction.
+    With parameter u = x_1, tangent v = (1, 2u) and base carre du champ u^2
+    on the parameter, alpha = u^2 v v^T: rank one by construction.
     """
-    curve = curve or parabola_curve()
 
-    def alpha(x: np.ndarray) -> np.ndarray:
-        u = float(curve.inverse(np.atleast_2d(x))[0])
-        v = curve.tangent(np.array([u]))[0]
-        return base_gamma(u) * np.outer(v, v)
+    def parameter_and_tangent(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = np.asarray(xs, dtype=float)[:, 0]
+        return u, np.column_stack([np.ones_like(u), 2.0 * u])
 
-    def chol(x: np.ndarray) -> np.ndarray:
-        u = float(curve.inverse(np.atleast_2d(x))[0])
-        v = curve.tangent(np.array([u]))[0]
-        w = math.sqrt(max(base_gamma(u), 0.0)) * v
-        l = np.zeros((2, 2))
-        l[:, 0] = w
+    def alpha(xs: np.ndarray) -> np.ndarray:
+        u, v = parameter_and_tangent(xs)
+        return (u * u)[:, None, None] * (v[:, :, None] * v[:, None, :])
+
+    def chol(xs: np.ndarray) -> np.ndarray:
+        u, v = parameter_and_tangent(xs)
+        l = np.zeros((len(u), 2, 2))
+        l[:, :, 0] = np.sqrt(u * u)[:, None] * v
         return l
 
     return GammaSpec(label="curve", dim=2, alpha=alpha, chol=chol)
@@ -210,10 +198,10 @@ def build_gamma(label: str, **params) -> GammaSpec:
 
 @dataclass(frozen=True)
 class CarreDuChamp:
-    """The pathwise m x m matrix with its per-atom PSD contributions."""
+    """The pathwise m x m matrix with its (n, m, m) stack of per-atom PSD contributions."""
 
     matrix: np.ndarray
-    contributions: tuple[np.ndarray, ...]
+    contributions: np.ndarray
 
     @property
     def det(self) -> float:
@@ -267,21 +255,17 @@ def carre_du_champ(
             f"dimension mismatch: cfg d={cfg.dim}, spec d={spec.dim}, functional d={F.mark_dim}"
         )
     jacs = _atom_jacobians(F, cfg, mode)
-    total = np.zeros((F.out_dim, F.out_dim))
-    contribs: list[np.ndarray] = []
-    for jac, x_i in zip(jacs, cfg.marks):
-        contrib = jac @ spec.alpha(x_i) @ jac.T
-        contrib = 0.5 * (contrib + contrib.T)
-        contribs.append(contrib)
-        total += contrib
-    return CarreDuChamp(matrix=total, contributions=tuple(contribs))
+    contribs = jacs @ spec.alpha(cfg.marks) @ _transpose(jacs)
+    contribs = 0.5 * (contribs + _transpose(contribs))
+    # summed in atom order, as the lend loop visits the atoms
+    total = sum(contribs, np.zeros((F.out_dim, F.out_dim)))
+    return CarreDuChamp(matrix=total, contributions=contribs)
 
 
 def _sharp(F: Functional, cfg: Configuration, spec: GammaSpec, aux: np.ndarray, mode: str) -> np.ndarray:
     """sum_a D_a L(x_a) eta(r_a) for each row of aux marks (s, n): shape (s, m)."""
     jacs = _atom_jacobians(F, cfg, mode)
-    chols = np.reshape([spec.chol(x) for x in cfg.marks], (cfg.n_atoms, spec.dim, spec.dim))
-    return np.einsum("amk,sak->sm", jacs @ chols, spec.eta(aux))
+    return np.einsum("amk,sak->sm", jacs @ spec.chol(cfg.marks), spec.eta(aux))
 
 
 def sharp_sample(F: Functional, mcfg: MarkedConfiguration, spec: GammaSpec, mode: str = "closed") -> np.ndarray:
@@ -356,15 +340,11 @@ def survey_row(
     """
     cfg = sample_configuration(model, seed, i)
     cdc = carre_du_champ(F, cfg, spec, mode=mode)
-    m = F.out_dim
+    c = cdc.contributions
     simp = 0.0
-    if cdc.contributions:
-        simp = np.mean(
-            [
-                _scale_aware_pass(float(np.linalg.det(c)), float(np.trace(c)), m, tol)
-                for c in cdc.contributions
-            ]
-        )
+    if len(c):
+        dets, traces = np.linalg.det(c).tolist(), np.trace(c, axis1=1, axis2=2).tolist()
+        simp = np.mean([_scale_aware_pass(dt, tr, F.out_dim, tol) for dt, tr in zip(dets, traces)])
     return (i, cfg.n_atoms, cdc.det, cdc.trace, cdc.min_eigenvalue, float(simp))
 
 
@@ -392,13 +372,7 @@ class SurveyResult:
         return hits / self.nsamples
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("seed,n_atoms,det,trace,min_eig,simplified_criterion_fraction\n")
-        for row in self.rows:
-            buf.write(
-                f"{row[0]},{row[1]},{row[2]:.17g},{row[3]:.17g},{row[4]:.17g},{row[5]:.17g}\n"
-            )
-        return buf.getvalue()
+        return csv_text("seed,n_atoms,det,trace,min_eig,simplified_criterion_fraction", self.rows)
 
 
 def det_positivity_survey(

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -8,7 +9,8 @@ import pytest
 
 from lentparticle.cli import ConfigParseError, main, parse_config
 from lentparticle.configuration import read_configuration
-from lentparticle.functionals import make_pair_doleans
+from lentparticle.diagnostics import KDE_GRID_2D, dyadic_modulus_limit, kde
+from lentparticle.functionals import FUNCTIONAL_BUILDERS, make_pair_doleans
 from lentparticle.intensities import uniform_model
 from lentparticle.lent_particle import det_positivity_survey, diag_squares_gamma
 
@@ -180,6 +182,46 @@ class TestRun:
         closed = np.asarray(payload["closed_modulus"])
         assert np.abs(closed - payload["limit"]).max() <= 2e-3
 
+    @pytest.mark.parametrize(
+        "model_keys",
+        ["horizon = 0.3", "horizon = 2.0", "horizon = 1.0\nn_start = 2", "horizon = 1.0\nn_max = 14"],
+        ids=["horizon_0.3", "horizon_2", "n_start_2", "n_max_14"],
+    )
+    def test_rajchman_limit_scales_with_horizon_and_rows_start_at_n_start(self, tmp_path, capsys, model_keys):
+        # nu = horizon x sigma, so the limit is limit^horizon; the rows k < n_start miss the n = k atom
+        path = tmp_path / "raj.cfg"
+        path.write_text(f"[model]\nfamily = dyadic\n{model_keys}\n\n[experiment]\nkind = rajchman\nk_max = 10\n")
+        assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
+        payload = json.loads((tmp_path / "rajchman.json").read_text())
+        horizon = float(re.search(r"horizon = (\S+)", model_keys).group(1))
+        assert payload["limit"] == dyadic_modulus_limit() ** horizon
+        closed = np.asarray(payload["closed_modulus"])
+        assert np.abs(closed - payload["limit"]).max() <= 7e-4
+        n_start = 2 if "n_start" in model_keys else 0
+        ks = [int(line.split(",")[0]) for line in (tmp_path / "rajchman.csv").read_text().splitlines()[2:]]
+        assert ks == list(range(n_start, 11))
+
+    @pytest.mark.parametrize(
+        "model_keys,k_max,error",
+        [
+            ("n_max = 30", "k_max = 27", "line 9, column 1: k_max must be in [n_start, n_max - 4] = [0, 26], got 27"),
+            # the default k_max = 8, reported at the [experiment] header
+            ("n_max = 11", "", "line 6, column 1: k_max must be in [n_start, n_max - 4] = [0, 7], got 8"),
+            ("n_start = 3", "k_max = 2", "line 9, column 1: k_max must be in [n_start, n_max - 4] = [3, 26], got 2"),
+        ],
+        ids=["above_n_max_minus_4", "default_above_bound", "below_n_start"],
+    )
+    def test_rajchman_k_max_outside_the_atoms_exits_2(self, tmp_path, capsys, model_keys, k_max, error):
+        path = tmp_path / "raj.cfg"
+        path.write_text(
+            f"[model]\nfamily = dyadic\n{model_keys}\nhorizon = 1.0\n\n"
+            f"[experiment]\nkind = rajchman\nseed = 1\n{k_max}\n"
+        )
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert error in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_chaos_experiment(self, tmp_path, capsys):
         path = tmp_path / "chaos.cfg"
         path.write_text(
@@ -217,6 +259,62 @@ class TestRun:
         assert (tmp_path / "density_ecf.csv").exists()
         first = (tmp_path / "density_kde.csv").read_text().splitlines()[0]
         assert first.startswith("# config_sha256=")
+
+
+# [functional] keys and mark dimension of each registered functional on criterion 1's uniform models
+CONFORMANCE = {
+    "path_eval": ("t = 1.0", 1),
+    "doleans": ("t = 1.0", 1),
+    "pair_doleans": ("t = 1.0", 1),
+    "time_integral": ("t = 1.0", 1),
+    "sup": ("t = 1.0", 1),
+    "nearest": ("", 1),
+    "area": ("t = 1.0", 2),
+    "gou": ("x0 = 0.5\nt = 1.0", 2),
+    "jump_sde": ("t = 1.0", 2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FUNCTIONAL_BUILDERS) + ["curve"])
+def test_every_registered_functional_runs_kind_gamma_on_a_sampled_configuration(tmp_path, capsys, label):
+    """Closed against fd through the CLI at criterion 1's tolerance (area 1e-4; jump_sde fd-only, 1e-4)."""
+    assert set(CONFORMANCE) == set(FUNCTIONAL_BUILDERS)
+    if label == "curve":
+        model = "family = curve\nhorizon = 1.0\nc = 3.0\nepsilon = 0.05"
+        functional, gamma = "label = path_eval\nt = 1.0", "label = curve"
+    else:
+        keys, dim = CONFORMANCE[label]
+        model = f"family = uniform\nhorizon = 1.0\nrate = 10.0\nlow = -0.3\nhigh = 0.8\ndim = {dim}"
+        functional, gamma = f"label = {label}\n{keys}", f"label = diag_x2\ndim = {dim}"
+    tolerance = "tolerance = 1e-4\n" if label == "area" else ""
+    path = tmp_path / "gamma.cfg"
+    path.write_text(
+        f"[model]\n{model}\n\n[functional]\n{functional}\n\n[gamma]\n{gamma}\n\n"
+        f"[experiment]\nkind = gamma\nseed = 3\n{tolerance}"
+    )
+    assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
+    payload = json.loads((tmp_path / "gamma.json").read_text())
+    assert payload["pass"]
+    assert payload["closed_vs_fd"] <= (1e-4 if label in ("area", "jump_sde") else 1e-6)
+    assert re.search(r", n=[1-9]\d*,", capsys.readouterr().out)  # a sampled configuration with atoms
+
+
+def test_density_experiment_on_a_two_output_functional(tmp_path):
+    path = tmp_path / "dens2.cfg"
+    path.write_text(
+        "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 6.0\nlow = -0.9\nhigh = 0.9\n\n"
+        "[functional]\nlabel = pair_doleans\nt = 1.0\n\n"
+        "[experiment]\nkind = density\nseed = 2\nnsamples = 400\n"
+    )
+    assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
+    assert not (tmp_path / "density_ecf.csv").exists()  # the characteristic function is for scalars
+    lines = (tmp_path / "density_kde.csv").read_text().splitlines()
+    assert lines[1] == "x,y,density" and len(lines) == 2 + KDE_GRID_2D**2
+    model = uniform_model(1.0, rate=6.0, low=-0.9, high=0.9)
+    curve = kde(make_pair_doleans(model, 1.0), model, 400, seed=2)
+    (gx, gy), dens = curve.grid, curve.density
+    for row, (i, j) in ((2, (0, 0)), (3, (0, 1)), (2 + KDE_GRID_2D, (1, 0)), (len(lines) - 1, (-1, -1))):
+        assert lines[row] == f"{gx[i]:.17g},{gy[j]:.17g},{dens[i, j]:.17g}"
 
 
 class TestExitCodes:
@@ -480,3 +578,16 @@ def test_readme_config_runs(tmp_path, capsys):
     assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
     payload = json.loads((tmp_path / "gamma.json").read_text())
     np.testing.assert_allclose(payload["matrix"], [[0.29, 0.26], [0.26, 0.25]], atol=1e-12)
+
+
+def test_readme_library_example_prints_its_commented_values():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace: dict = {}
+    exec(code, namespace)
+    checks = re.findall(r"^print\((.+?)\)\s*# (.+)$", code, re.M)
+    assert [expr for expr, _ in checks] == ["cdc.matrix", "cdc.det"]
+    for expr, comment in checks:
+        # the comment rounds each entry to its printed decimals
+        decimals = max(len(d) for d in re.findall(r"\.(\d+)", comment))
+        np.testing.assert_allclose(eval(expr, namespace), ast.literal_eval(comment), rtol=0, atol=0.5 * 10.0**-decimals)

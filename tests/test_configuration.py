@@ -80,6 +80,10 @@ class TestSampling:
             uniform_model(-1.0, rate=2.0)
         with pytest.raises(InvalidModelError):
             uniform_model(1.0, rate=0.0)
+        with pytest.raises(InvalidModelError, match="integers n_max >= n_start"):
+            dyadic_model(1.0, n_start=0.5)
+        with pytest.raises(InvalidModelError, match="integers n_max >= n_start"):
+            dyadic_model(1.0, n_start=5, n_max=3)
 
     def test_times_sorted_marks_in_support(self):
         model = uniform_model(1.0, rate=30.0, low=-0.5, high=0.5)

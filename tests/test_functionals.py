@@ -76,6 +76,20 @@ class TestPathEval:
         with pytest.raises(FunctionalError):
             make_path_eval(SYM1, 1.5)
 
+    @pytest.mark.parametrize("x", [1e-5, -1e-5])
+    def test_fd_step_halves_off_the_excluded_zero_mark(self, x):
+        # at |x| = 1e-5 the first step x - h (or x + h) is the excluded mark 0: the step halves
+        F = make_path_eval(SYM1, 1.0)
+        added = []
+
+        def value(cfg):
+            added.append(cfg.marks[list(cfg.times).index(0.4), 0])
+            return F.value(cfg)
+
+        jac = finite_difference_add_derivative(value, EX1, 0.4, np.array([x]), 1)
+        assert sorted(added) == pytest.approx(sorted([x - 5e-6, x + 5e-6]), rel=1e-12)
+        np.testing.assert_allclose(jac, [[1.0]], rtol=1e-9)
+
 
 class TestDoleans:
     def test_fixture_value(self):

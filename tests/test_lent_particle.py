@@ -15,18 +15,23 @@ from lentparticle.configuration import (
     sample_configuration,
 )
 from lentparticle.functionals import (
+    build_functional,
     finite_difference_add_derivative,
     make_doleans,
+    make_generalized_ou,
     make_pair_doleans,
     make_path_eval,
     compose_functional,
     make_stochastic_area,
+    make_triangular_sde,
     stack_functionals,
     with_fd_derivative,
 )
-from lentparticle.intensities import curve_model, parabola_curve, uniform_model
+from lentparticle.intensities import curve_model, uniform_model
 from lentparticle.lent_particle import (
     EngineError,
+    GammaSpec,
+    build_gamma,
     carre_du_champ,
     chain_rule_check,
     curve_gamma,
@@ -67,7 +72,7 @@ def _sharp_per_atom(F, mcfg, spec, mode="closed"):
             jac = finite_difference_add_derivative(F.value, reduced, t_i, x_i, F.out_dim)
         else:
             jac = np.atleast_2d(F.add_derivative(reduced, t_i, x_i))
-        out += jac @ spec.chol(x_i) @ spec.eta(mcfg.aux_marks[i])
+        out += jac @ spec.chol(x_i[None])[0] @ spec.eta(mcfg.aux_marks[i])
     return out
 
 MODEL = uniform_model(1.0, rate=2.0, low=-0.9, high=0.9, label="sym")
@@ -78,7 +83,7 @@ EMPTY = Configuration(1.0, 1, [], [], "manual")
 
 def _gamma_quadratic(spec, x, u, v):
     """The bottom quadratic form u^T alpha(x) v."""
-    return float(np.asarray(u, dtype=float) @ spec.alpha(np.asarray(x, dtype=float)) @ np.asarray(v, dtype=float))
+    return float(np.asarray(u, dtype=float) @ spec.alpha(np.asarray([x], dtype=float))[0] @ np.asarray(v, dtype=float))
 
 
 class TestGammaQuadratic:
@@ -101,7 +106,7 @@ class TestGammaSpecValidation:
             (diag_squares_gamma(2), 2),
             (identity_gamma(2), 2),
             (norm_scaled_gamma(2), 2),
-            (curve_gamma(parabola_curve()), 2),
+            (curve_gamma(), 2),
         ],
     )
     def test_psd_factorization_basis(self, spec, dim):
@@ -115,22 +120,43 @@ class TestGammaSpecValidation:
         spec.validate(probes)
 
     def test_curve_alpha_rank_one(self):
-        spec = curve_gamma(parabola_curve())
-        a = spec.alpha(np.array([0.5, 0.25]))
+        spec = curve_gamma()
+        a = spec.alpha(np.array([[0.5, 0.25]]))[0]
         w = np.linalg.eigvalsh(a)
         assert w[0] == pytest.approx(0.0, abs=1e-12)
         assert w[1] > 0.0
 
     def test_default_chol_handles_singular_psd(self):
-        # no factor supplied: the jittered dense Cholesky covers rank-deficient alpha
-        from lentparticle.lent_particle import GammaSpec
-
+        # no factor supplied: the jittered dense Cholesky of each matrix covers rank-deficient alpha
         v = np.array([1.0, 2.0])
-        spec = GammaSpec(label="rank1", dim=2, alpha=lambda x: np.outer(v, v))
-        l = spec.chol(np.array([0.3, 0.4]))
-        np.testing.assert_allclose(l @ l.T, np.outer(v, v), atol=1e-6)
-        zero = GammaSpec(label="null", dim=2, alpha=lambda x: np.zeros((2, 2)))
-        np.testing.assert_allclose(zero.chol(np.array([0.3, 0.4])), 0.0)
+        spec = GammaSpec(label="rank1", dim=2, alpha=lambda xs: np.tile(np.outer(v, v), (len(xs), 1, 1)))
+        l = spec.chol(np.array([[0.3, 0.4], [0.5, 0.6]]))
+        assert l.shape == (2, 2, 2)
+        np.testing.assert_allclose(l @ l.transpose(0, 2, 1), [np.outer(v, v)] * 2, atol=1e-6)
+        zero = GammaSpec(label="null", dim=2, alpha=lambda xs: np.zeros((len(xs), 2, 2)))
+        np.testing.assert_allclose(zero.chol(np.array([[0.3, 0.4]])), 0.0)
+        assert zero.chol(np.zeros((0, 2))).shape == (0, 2, 2)
+
+    def test_eta_is_zero_mean_orthonormal(self):
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        r, w = 0.5 * (nodes + 1.0), 0.5 * weights
+        vals = diag_squares_gamma(3).eta(r)  # (200, 3)
+        np.testing.assert_allclose(w @ vals, 0.0, atol=1e-8)
+        np.testing.assert_allclose((vals * w[:, None]).T @ vals, np.eye(3), atol=1e-8)
+
+    def test_validate_names_the_failing_mark(self):
+        skew = GammaSpec(
+            label="skew", dim=2, alpha=lambda xs: np.tile([[1.0, 0.5], [0.0, 1.0]], (len(xs), 1, 1))
+        )
+        with pytest.raises(EngineError, match="not symmetric"):
+            skew.validate(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        ones = lambda xs: np.ones((len(xs), 1, 1))
+        negative = GammaSpec(label="neg", dim=1, alpha=lambda xs: -ones(xs), chol=ones)
+        with pytest.raises(EngineError, match=r"not PSD at \[0.3\]"):
+            negative.validate(np.array([[0.3]]))
+        wrong = GammaSpec(label="wrong", dim=1, alpha=ones, chol=lambda xs: 2.0 * ones(xs))
+        with pytest.raises(EngineError, match="cholesky factor mismatch"):
+            wrong.validate(np.array([[0.3], [0.4]]))
 
 
 class TestExponentialPairFixture:
@@ -366,7 +392,7 @@ class TestSurvey:
 def test_curve_model_gamma_runs():
     # rank-deficient bottom gamma on a curve-carried intensity
     model = curve_model(1.0, c=0.6, a=0.5, epsilon=0.05)
-    spec = curve_gamma(parabola_curve())
+    spec = curve_gamma()
     F = make_path_eval(model, 1.0)
     cfg = sample_configuration(model, seed=10)
     closed = carre_du_champ(F, cfg, spec).matrix
@@ -374,3 +400,116 @@ def test_curve_model_gamma_runs():
     np.testing.assert_allclose(closed, fd, atol=1e-8 * (1 + np.abs(closed).max()))
     w = np.linalg.eigvalsh(closed)
     assert w.min() >= -1e-10 * max(w.max(), 1e-30)
+
+
+# ---------------------------------------------------------------------------
+# the array contract against the per-atom engine it replaced
+# ---------------------------------------------------------------------------
+
+def _eta_per_function(r, d):
+    """sqrt(2) cos(2 pi j r) evaluated one basis function at a time, stacked on the last axis."""
+    r = np.asarray(r)
+    return np.stack([math.sqrt(2.0) * np.cos(2.0 * math.pi * j * r) for j in range(1, d + 1)], axis=-1)
+
+
+def _curve_alpha_one(x):
+    u = float(x[0])
+    v = np.array([1.0, 2.0 * u])
+    return (u * u) * np.outer(v, v)
+
+
+def _curve_chol_one(x):
+    u = float(x[0])
+    l = np.zeros((2, 2))
+    l[:, 0] = math.sqrt(max(u * u, 0.0)) * np.array([1.0, 2.0 * u])
+    return l
+
+
+# alpha and chol of one mark (d,) -> (d, d), as each spec was written per mark
+PER_MARK = {
+    "diag_x2": (lambda x: np.diag(np.asarray(x, dtype=float) ** 2), lambda x: np.diag(np.abs(np.asarray(x, dtype=float)))),
+    "identity": (lambda x: np.eye(len(x)), lambda x: np.eye(len(x))),
+    "polar": (
+        lambda x: float(np.dot(x, x)) * np.eye(len(x)),
+        lambda x: float(np.linalg.norm(x)) * np.eye(len(x)),
+    ),
+    "curve": (_curve_alpha_one, _curve_chol_one),
+}
+
+
+def _per_atom_engine(F, cfg, spec_label, mode, nsamples=0, seed=0):
+    """The lend loop with alpha and chol called once per atom: (matrix, contributions, sharp rows)."""
+    alpha_one, chol_one = PER_MARK[spec_label]
+    jacs = np.empty((cfg.n_atoms, F.out_dim, cfg.dim))
+    for i in range(cfg.n_atoms):
+        reduced, t_i, x_i = remove_index(cfg, i), float(cfg.times[i]), cfg.marks[i]
+        if mode == "closed" and F.has_closed_derivative:
+            jacs[i] = np.atleast_2d(F.add_derivative(reduced, t_i, x_i))
+        else:
+            jacs[i] = finite_difference_add_derivative(F.value, reduced, t_i, x_i, F.out_dim)
+    total = np.zeros((F.out_dim, F.out_dim))
+    contribs = []
+    for jac, x_i in zip(jacs, cfg.marks):
+        contrib = jac @ alpha_one(x_i) @ jac.T
+        contrib = 0.5 * (contrib + contrib.T)
+        contribs.append(contrib)
+        total += contrib
+    chols = np.reshape([chol_one(x) for x in cfg.marks], (cfg.n_atoms, cfg.dim, cfg.dim))
+    aux = substream(seed).random((nsamples, cfg.n_atoms))
+    sharp = np.einsum("amk,sak->sm", jacs @ chols, _eta_per_function(aux, cfg.dim))
+    return total, contribs, sharp
+
+
+D1 = uniform_model(1.0, rate=10.0, low=-0.3, high=0.8, label="oracle_d1")
+D2 = uniform_model(1.0, rate=10.0, low=-0.3, high=0.8, dim=2, label="oracle_d2")
+CURVE = curve_model(1.0, c=3.0, a=0.5, epsilon=0.05)
+
+ORACLE_CASES = [
+    ("pair_doleans", lambda: make_pair_doleans(D1, 1.0), D1, "diag_x2", "closed", 60),
+    ("time_integral", lambda: build_functional("time_integral", D1, g="square"), D1, "diag_x2", "closed", 60),
+    ("gou", lambda: make_generalized_ou(D2, x0=0.5, t=1.0), D2, "diag_x2", "closed", 60),
+    ("curve", lambda: make_path_eval(CURVE, 1.0), CURVE, "curve", "closed", 60),
+    ("area", lambda: make_stochastic_area(D2, 1.0), D2, "diag_x2", "closed", 60),
+    ("area_fd", lambda: make_stochastic_area(D2, 1.0), D2, "diag_x2", "fd", 60),
+    ("triangular_fd", lambda: make_triangular_sde(D2, euler_step=0.05), D2, "diag_x2", "fd", 10),
+    ("identity_pair", lambda: make_pair_doleans(D1, 1.0), D1, "identity", "closed", 20),
+    ("polar_area", lambda: make_stochastic_area(D2, 1.0), D2, "polar", "closed", 20),
+]
+
+
+@pytest.mark.parametrize("name,build,model,spec_label,mode,nconfigs", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_array_engine_matches_per_atom_loop_bit_for_bit(name, build, model, spec_label, mode, nconfigs):
+    F = build()
+    spec = build_gamma(spec_label, **({} if spec_label == "curve" else {"dim": model.dim}))
+    atoms = 0
+    for i in range(nconfigs):
+        cfg = sample_configuration(model, 41, i)
+        atoms += cfg.n_atoms
+        total, contribs, sharp = _per_atom_engine(F, cfg, spec_label, mode, nsamples=8, seed=i)
+        cdc = carre_du_champ(F, cfg, spec, mode=mode)
+        assert cdc.matrix.tobytes() == total.tobytes()
+        assert cdc.contributions.shape == (cfg.n_atoms, F.out_dim, F.out_dim)
+        for got, want in zip(cdc.contributions, contribs):
+            assert got.tobytes() == want.tobytes()
+        assert sharp_sample_many(F, cfg, spec, 8, seed=i, mode=mode).tobytes() == sharp.tobytes()
+    assert atoms > 2 * nconfigs
+
+
+@pytest.mark.parametrize("label", sorted(PER_MARK))
+def test_spec_arrays_match_per_mark_specs_bit_for_bit(label):
+    alpha_one, chol_one = PER_MARK[label]
+    rng = substream(78)
+    if label == "curve":
+        u = rng.uniform(0.05, 1.0, size=500)
+        dims, marks = (2,), {2: np.column_stack([u, u**2])}
+    else:
+        dims = (1, 2, 3)
+        marks = {d: rng.normal(size=(500, d)) * rng.uniform(0.01, 10.0, size=(500, 1)) for d in dims}
+    for d in dims:
+        spec = build_gamma(label, **({} if label == "curve" else {"dim": d}))
+        xs = marks[d]
+        assert spec.alpha(xs).tobytes() == np.array([alpha_one(x) for x in xs]).tobytes()
+        assert spec.chol(xs).tobytes() == np.array([chol_one(x) for x in xs]).tobytes()
+        assert spec.alpha(xs[:0]).shape == spec.chol(xs[:0]).shape == (0, d, d)
+        r = rng.random((7, 5))
+        assert spec.eta(r).tobytes() == _eta_per_function(r, d).tobytes()
