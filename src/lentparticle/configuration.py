@@ -184,7 +184,8 @@ class IntensityModel:
     mass `rate`, a normalized sampler, a deterministic quadrature
     `sigma_integrate`, and the first-moment vector `mean` used as the
     compensator density.  `sigma_integrate(f)` integrates a vectorized
-    mark function f((k, d) array) -> (k,) against sigma.
+    mark function f((k, d) array) -> (k,) against sigma; the shipped
+    families call f on whole node arrays, never one point at a time.
     """
 
     label: str

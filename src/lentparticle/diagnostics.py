@@ -383,20 +383,15 @@ def ecf(
     return EcfCurve(u, mod, 1.0 / math.sqrt(nsamples), nsamples)
 
 
-def ecf_reference_linear(
-    model: IntensityModel,
-    u_grid: np.ndarray,
-    h: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Closed-form |phi(u)| of the compensated linear functional (N - nu)(h).
+def ecf_reference_linear(model: IntensityModel, u_grid: np.ndarray) -> np.ndarray:
+    """Closed-form |phi(u)| of the compensated first coordinate (N - nu)(x_1).
 
-    The modulus of the exponential formula is exp(-nu(1 - cos(u h))),
+    The modulus of the exponential formula is exp(-nu(1 - cos(u x_1))),
     evaluated by the model quadrature (a finite sum for atomic families).
     """
-    h = h or (lambda xs: xs[:, 0])
     out = np.empty(len(u_grid))
     for i, u in enumerate(np.asarray(u_grid, dtype=float)):
-        out[i] = math.exp(-model.nu_integrate(lambda xs: 1.0 - np.cos(u * np.asarray(h(xs)))))
+        out[i] = math.exp(-model.nu_integrate(lambda xs: 1.0 - np.cos(u * xs[:, 0])))
     return out
 
 

@@ -305,18 +305,19 @@ def make_time_integral(
     g: Callable[[np.ndarray], np.ndarray],
     gprime: Callable[[np.ndarray], np.ndarray],
     t: float = 1.0,
-    out_dim: int = 1,
     label: str = "time_integral",
 ) -> Functional:
     """int_0^t g(Y_s) ds along the piecewise-linear compensated path.
 
-    g maps R^d -> R^m with Jacobian gprime; integration is 8-point
-    Gauss-Legendre per inter-jump segment, exact for the shipped polynomial
-    probes.  The added-particle derivative is int_alpha^t gprime(Y_s + x) ds.
+    g maps R^d -> R^m with Jacobian gprime, and m is read off g(0).
+    Integration is 8-point Gauss-Legendre per inter-jump segment, exact for
+    the shipped polynomial probes.  The added-particle derivative is
+    int_alpha^t gprime(Y_s + x) ds.
     """
     _check_window(t, model.horizon)
     mean = model.mean
     d = model.dim
+    out_dim = np.atleast_1d(g(np.zeros(d))).size
 
     def segments(cfg: Configuration, start: float) -> list[tuple[float, float]]:
         inner = cfg.times[(cfg.times > start) & (cfg.times < t)]

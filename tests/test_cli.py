@@ -139,6 +139,21 @@ class TestRun:
         )
         assert main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("out_dim", ["-1", "2"])
+    def test_time_integral_out_dim_key_exits_2(self, tmp_path, capsys, out_dim):
+        """time_integral reads its output size off g; an out_dim key is a bad parameter."""
+        path = tmp_path / "outdim.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 3.0\n\n"
+            f"[functional]\nlabel = time_integral\nout_dim = {out_dim}\n\n"
+            "[gamma]\nlabel = diag_x2\n\n[experiment]\nkind = gamma\nseed = 3\n"
+        )
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad [functional] parameters" in err and "out_dim" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_experiment_key_exits_2(self, tmp_path):
         path = tmp_path / "extra.cfg"
         path.write_text(GAMMA_CFG.replace("fixture = exp_pair", "fixture = exp_pair\nwat = 1"))

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.integrate import IntegrationWarning
 
 from lentparticle.configuration import (
     Atom,
@@ -409,6 +411,104 @@ def test_mean_matches_coordinate_quadrature(name):
         [model.sigma_integrate(lambda xs, j=j: xs[:, j]) for j in range(model.dim)]
     )
     np.testing.assert_allclose(model.mean, quad_mean, rtol=1e-10, atol=1e-10)
+
+
+# sigma_integrate pinned against the nested scalar quad it replaced: each
+# family at its benchmark defaults plus a symmetric power model and a polar
+# model with an empty sector; the indicator probe runs in dimension 1 only.
+QUAD_FAMILIES = {
+    "uniform_d1": lambda: uniform_model(1.0, rate=3.0),
+    "uniform_d2": lambda: uniform_model(1.0, rate=3.0, dim=2),
+    "gauss_d1": lambda: gauss_model(1.0, rate=3.0),
+    "gauss_d2": lambda: gauss_model(1.0, rate=3.0, dim=2),
+    "power": lambda: power_model(1.0),
+    "power_sym": lambda: power_model(1.0, c=0.3, a=0.5, epsilon=0.05, symmetric=True),
+    "polar": lambda: polar_model(1.0),
+    "polar_sectors": lambda: polar_model(1.0, g_values=[0.1, 0.0, 0.3]),
+    "curve": lambda: curve_model(1.0),
+    "dyadic": lambda: dyadic_model(1.0),
+}
+
+
+def _laplace_probe(xs):
+    """The benchmark's 0.3 x_1 (+ 0.2 x_2 in dimension 2)."""
+    out = 0.3 * xs[:, 0]
+    return out + 0.2 * xs[:, 1] if xs.shape[1] > 1 else out
+
+
+QUAD_PROBES = {
+    "probe": _laplace_probe,
+    "probe_1_minus_cos": lambda xs: 1.0 - np.cos(_laplace_probe(xs)),
+    "probe_minus_sin": lambda xs: _laplace_probe(xs) - np.sin(_laplace_probe(xs)),
+    "x1_sq": lambda xs: xs[:, 0] ** 2,
+    "abs_x1": lambda xs: np.abs(xs[:, 0]),
+    "quadratic": lambda xs: 0.4 * xs[:, 0] + 0.3 * xs[:, 0] ** 2,
+    "lorentz": lambda xs: 1.0 / (1.0 + xs[:, 0] ** 2),
+    "indicator": lambda xs: 0.7 * (xs[:, 0] > 0.2),
+}
+
+# values in QUAD_PROBES order
+QUAD_REFERENCE = {
+    "uniform_d1": (
+        0.0, 0.04479793338660422, 0.0, 1.0, 1.5, 0.30000000000000004, 2.3561944901923453,
+        0.8399999999999996
+    ),
+    "uniform_d2": (
+        0.0, 0.06445991530867375, 0.0, 1.0, 1.4999999999999998, 0.30000000000000004,
+        2.3561944901923453
+    ),
+    "gauss_d1": (
+        0.0, 0.13200755450070029, 0.0, 3.000000000000001, 2.393653682408596, 0.9000000000000001,
+        1.9670386272563958, 0.8835546101778833
+    ),
+    "gauss_d2": (
+        0.0, 0.1887976098677897, 0.0, 3.0000000000000013, 2.3936536824085963,
+        0.9000000000000005, 1.967038627256396
+    ),
+    "power": (
+        0.5399999999999999, 0.029873755312330223, 0.0017954886694516933, 0.6659999999999999,
+        1.7999999999999998, 0.9198000000000001, 17.513171143697694, 1.7304951684997008
+    ),
+    "power_sym": (
+        0.0, 0.017741008680786114, 0.0, 0.3955278640450004, 0.9316718427000252,
+        0.11865835921350015, 3.8785332013496516, 0.519148550549912
+    ),
+    "polar": (
+        1.734723475976807e-17, 0.016182518060301812, 0.0, 0.24997500000000003,
+        0.6302535746439056, 0.07499249999999998, 4.4169687785910465
+    ),
+    "polar_sectors": (
+        0.04348381796959117, 0.010245341422703901, 0.00023710921968316787, 0.16612162622609256,
+        0.44905394010136224, 0.18701491182728272, 3.731328351778203
+    ),
+    "curve": (
+        0.6732, 0.05915635643654459, 0.005906084932921169, 0.6659999999999999,
+        1.7999999999999998, 0.9198000000000001, 17.513171143697694
+    ),
+    "dyadic": (
+        0.5999999997206032, 0.05964102693944262, 0.005121997597281045, 1.3333333333333333,
+        1.9999999990686774, 1.1999999996274708, 30.220599737594043, 2.0999999999999996
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "family,probe",
+    [(f, p) for f, vals in QUAD_REFERENCE.items() for p in list(QUAD_PROBES)[: len(vals)]],
+)
+def test_sigma_integrate_matches_pinned_quad_values(family, probe):
+    ref = QUAD_REFERENCE[family][list(QUAD_PROBES).index(probe)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = QUAD_FAMILIES[family]().sigma_integrate(QUAD_PROBES[probe])
+    assert abs(val - ref) <= 1e-12 + 1e-11 * abs(ref)
+
+
+def test_sigma_integrate_warns_on_a_nan_integrand():
+    model = uniform_model(1.0, rate=1.0)
+    with pytest.warns(IntegrationWarning, match="estimate nan"):
+        val = model.sigma_integrate(lambda xs: np.full(len(xs), np.nan))
+    assert math.isnan(val)
 
 
 def test_dyadic_flagged_non_diffuse():

@@ -1,7 +1,14 @@
-"""Every name a module exports in __all__ resolves, so `from module import *` works."""
+"""Every name a module exports in __all__ resolves, so `from module import *` works.
+
+Importing the package stays light: scipy.integrate loads on the first quadrature.
+"""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +33,11 @@ def test_every_all_entry_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(mod.__all__) <= set(namespace)
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = str(Path(lentparticle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, lentparticle; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
