@@ -12,6 +12,16 @@ Closed derivatives are provided where a pathwise formula exists; the SDE
 solver falls back to central finite differences over full re-evaluation.
 All paths are the compensated paths of the truncated model: jump sums minus
 the linear compensator drift t * mean.
+
+Two optional hooks evaluate F many times in one call, each with the bits of
+``value`` on every row: ``value_batch(batch)`` over the samples of a
+``BatchedConfigurations``, and ``value_marks(cfg, marks)`` at cfg's atom
+times under each of K mark arrays ``(K, n, d)``.  Lending an atom and taking
+it back keeps the atom times, so ``finite_difference_lent_jacobians`` gets
+the fd Jacobians of every lent atom from one ``value_marks`` call.  The jump
+SDE ships it: its coefficient ``c(s, z, u)`` broadcasts over leading axes
+(``z (..., m)``, ``u (..., d)`` -> ``(..., m)``), so one Euler pass advances
+all K states, and its compensator drift is ``c(s, z, mean)``.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ __all__ = [
     "FunctionalError",
     "batch_values",
     "finite_difference_add_derivative",
+    "finite_difference_lent_jacobians",
     "stack_functionals",
     "compose_functional",
     "PiecewiseConstant",
@@ -63,6 +74,8 @@ class Functional:
     has_closed_derivative: bool = True
     # optional: the (nsamples, m) values of a whole batch, with value's bits on each config(i)
     value_batch: Callable[[BatchedConfigurations], np.ndarray] | None = None
+    # optional: the (K, m) values at cfg's atom times under K mark arrays (K, n, d), with value's bits on each row
+    value_marks: Callable[[Configuration, np.ndarray], np.ndarray] | None = None
 
 
 def batch_values(F: Functional, batch: BatchedConfigurations) -> np.ndarray:
@@ -73,9 +86,12 @@ def batch_values(F: Functional, batch: BatchedConfigurations) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(batch.nsamples, F.out_dim)
 
 
-# finite-difference step per mark coordinate
-def _fd_step(xk: float) -> float:
-    return max(1e-5, 1e-7 * abs(xk))
+def _fd_step(x: np.ndarray, k: int) -> float:
+    """Central-difference step for mark coordinate k at x, halved if x +- h e_k is the excluded zero mark."""
+    h = max(1e-5, 1e-7 * abs(x[k]))
+    if abs(x[k]) == h and not np.any(np.delete(x, k)):
+        h *= 0.5
+    return h
 
 
 def finite_difference_add_derivative(
@@ -90,28 +106,53 @@ def finite_difference_add_derivative(
     d = x.size
     jac = np.empty((out_dim, d))
     for k in range(d):
-        h = _fd_step(x[k])
-        for _ in range(4):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] -= h
-            if np.any(xp != 0.0) and np.any(xm != 0.0):
-                break
-            h *= 0.5  # avoid the excluded zero mark
+        h = _fd_step(x, k)
+        xp, xm = x.copy(), x.copy()
+        xp[k] += h
+        xm[k] -= h
         fp = np.atleast_1d(value(add_particle(cfg, Atom(t, xp))))
         fm = np.atleast_1d(value(add_particle(cfg, Atom(t, xm))))
         jac[:, k] = (fp - fm) / (2.0 * h)
     return jac
 
 
-def with_fd_derivative(label: str, out_dim: int, mark_dim: int, value, value_batch=None) -> Functional:
-    """Wrap a raw value map (and optional value_batch) into a Functional differentiated by finite differences."""
+def finite_difference_lent_jacobians(
+    value_marks: Callable[[Configuration, np.ndarray], np.ndarray],
+    cfg: Configuration,
+    out_dim: int,
+) -> np.ndarray:
+    """Central-difference Jacobians at every atom with that atom lent back, shape (n, out_dim, d).
+
+    Row (i, k, +-) of the one value_marks call is cfg.marks with mark i moved
+    to x_i +- h e_k: the configuration remove_index(cfg, i) + (t_i, x_i +- h e_k),
+    so atom i's Jacobian has the bits of finite_difference_add_derivative there.
+    """
+    n, d = cfg.n_atoms, cfg.dim
+    if n == 0:
+        return np.empty((0, out_dim, d))
+    h = np.array([[_fd_step(x, k) for k in range(d)] for x in cfg.marks])
+    marks = np.broadcast_to(cfg.marks, (n, d, 2, n, d)).copy()
+    i, k = np.meshgrid(np.arange(n), np.arange(d), indexing="ij")
+    marks[i, k, 0, i, k] += h
+    marks[i, k, 1, i, k] -= h
+    vals = np.asarray(value_marks(cfg, marks.reshape(2 * d * n, n, d)))
+    if vals.shape != (2 * d * n, out_dim):
+        raise FunctionalError(f"value_marks shape {vals.shape}, expected {(2 * d * n, out_dim)}")
+    vals = vals.reshape(n, d, 2, out_dim)
+    return ((vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1)
+
+
+def with_fd_derivative(
+    label: str, out_dim: int, mark_dim: int, value, value_batch=None, value_marks=None
+) -> Functional:
+    """Wrap a raw value map (and optional hooks) into a Functional differentiated by finite differences."""
 
     def add_derivative(cfg: Configuration, t: float, x: np.ndarray) -> np.ndarray:
         return finite_difference_add_derivative(value, cfg, t, x, out_dim)
 
     return Functional(
-        label, out_dim, mark_dim, value, add_derivative, has_closed_derivative=False, value_batch=value_batch
+        label, out_dim, mark_dim, value, add_derivative,
+        has_closed_derivative=False, value_batch=value_batch, value_marks=value_marks,
     )
 
 
@@ -523,40 +564,32 @@ def make_jump_sde(
     x0: np.ndarray,
     t: float,
     euler_step: float = 1e-2,
-    compensator: str = "quadrature",
     label: str = "jump_sde",
 ) -> Functional:
     """Pure-jump SDE dX = c(s, X_-, u) dN~ solved pathwise; the state dimension is x0's size.
 
     Jumps apply c at each atom; between jumps the compensator drift
-    -int c(s, X, u) sigma(du) is advanced by explicit Euler with step
-    euler_step.  `compensator` is "linear_mark" (valid when c is linear in
-    the mark, drift = c(s, X, mean)) or "quadrature" for the generic slow
-    path.  Derivatives are finite differences over full re-evaluation.
+    -c(s, X, mean), exact when c is linear in the mark, is advanced by
+    explicit Euler with step euler_step (skipped when the mean is zero).
+    c must broadcast over leading axes, z (..., m) and u (..., d) to
+    (..., m), so the value_marks hook advances K states in one pass; value
+    is its one-row case.  Derivatives are finite differences, all 2 d n of
+    one configuration from one value_marks call.
     """
     _check_window(t, model.horizon)
-    if euler_step <= 0.0:
-        raise FunctionalError("euler step must be positive")
+    if not (math.isfinite(euler_step) and euler_step > 0.0):
+        raise FunctionalError(f"euler step must be finite and positive, got {euler_step}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     m = x0.size
-
-    if compensator == "linear_mark":
-        def drift(s: float, state: np.ndarray) -> np.ndarray:
-            return np.atleast_1d(c(s, state, model.mean))
-    elif compensator == "quadrature":
-        def drift(s: float, state: np.ndarray) -> np.ndarray:
-            return np.array(
-                [
-                    model.sigma_integrate(
-                        lambda us, j=j: np.array([np.atleast_1d(c(s, state, u))[j] for u in us])
-                    )
-                    for j in range(m)
-                ]
-            )
-    else:
-        raise FunctionalError(f"unknown compensator mode {compensator!r}")
-
-    drift_free = compensator == "linear_mark" and bool(np.all(model.mean == 0.0))
+    mean = model.mean
+    expected = f"c on a (1, {m}) state and a (1, {model.dim}) mark must broadcast to (1, {m})"
+    try:
+        shape = np.broadcast_shapes(np.shape(c(0.0, x0[None], mean[None])), (1, m))
+    except (ValueError, TypeError, IndexError) as exc:
+        raise FunctionalError(f"{expected}: {exc}") from exc
+    if shape != (1, m):
+        raise FunctionalError(f"{expected}, got {shape}")
+    drift_free = bool(np.all(mean == 0.0))
 
     def advance(state: np.ndarray, a: float, b: float) -> np.ndarray:
         if b <= a or drift_free:
@@ -565,21 +598,24 @@ def make_jump_sde(
         h = (b - a) / nsteps
         s = a
         for _ in range(nsteps):
-            state = state - h * drift(s, state)
+            state = state - h * c(s, state, mean)
             s += h
         return state
 
-    def value(cfg: Configuration) -> np.ndarray:
-        state = x0.copy()
+    def value_marks(cfg: Configuration, marks: np.ndarray) -> np.ndarray:
+        state = np.tile(x0, (len(marks), 1))
         s = 0.0
         for i in range(int(np.searchsorted(cfg.times, t, side="right"))):
             tau = float(cfg.times[i])
             state = advance(state, s, tau)
-            state = state + np.atleast_1d(c(tau, state, cfg.marks[i]))
+            state = state + c(tau, state, marks[:, i])
             s = tau
         return advance(state, s, t)
 
-    return with_fd_derivative(f"{label}(t={t})", m, model.dim, value)
+    def value(cfg: Configuration) -> np.ndarray:
+        return value_marks(cfg, cfg.marks[None])[0]
+
+    return with_fd_derivative(f"{label}(t={t})", m, model.dim, value, value_marks=value_marks)
 
 
 def make_triangular_sde(
@@ -597,7 +633,11 @@ def make_triangular_sde(
         raise FunctionalError("this preset needs mark dimension 2")
 
     def c(s: float, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([u[0], 2.0 * z[0] * u[0] + u[1], z[0] * u[0] + 2.0 * u[1]])
+        out = np.empty(np.broadcast_shapes(z.shape[:-1], u.shape[:-1]) + (3,))
+        out[..., 0] = u[..., 0]
+        out[..., 1] = 2.0 * z[..., 0] * u[..., 0] + u[..., 1]
+        out[..., 2] = z[..., 0] * u[..., 0] + 2.0 * u[..., 1]
+        return out
 
     return make_jump_sde(
         model,
@@ -605,7 +645,6 @@ def make_triangular_sde(
         np.asarray(z0, dtype=float),
         t,
         euler_step=euler_step,
-        compensator="linear_mark",
         label="jump_sde[triangular]",
     )
 

@@ -35,6 +35,7 @@ from .functionals import (
     Functional,
     compose_functional,
     finite_difference_add_derivative,
+    finite_difference_lent_jacobians,
     stack_functionals,
 )
 from .rng import substream
@@ -217,20 +218,26 @@ class CarreDuChamp:
 
 
 def _atom_jacobians(F: Functional, cfg: Configuration, mode: str) -> np.ndarray:
-    """The lend loop: D at every atom with that atom lent back, shape (n, m, d)."""
+    """The lend loop: D at every atom with that atom lent back, shape (n, m, d).
+
+    In fd mode a functional with the value_marks hook gets all of them from
+    one stacked call; otherwise each atom is removed and differentiated.
+    """
     if mode not in ("closed", "fd"):
         raise EngineError(f"unknown mode {mode!r}")
     m, d = F.out_dim, cfg.dim
     closed = mode == "closed" and F.has_closed_derivative
+    lent = None if closed or F.value_marks is None else finite_difference_lent_jacobians(F.value_marks, cfg, m)
     out = np.empty((cfg.n_atoms, m, d))
     for i in range(cfg.n_atoms):
         t_i = float(cfg.times[i])
         x_i = cfg.marks[i]
-        reduced = remove_index(cfg, i)
-        if closed:
-            jac = np.atleast_2d(F.add_derivative(reduced, t_i, x_i))
+        if lent is not None:
+            jac = lent[i]
+        elif closed:
+            jac = np.atleast_2d(F.add_derivative(remove_index(cfg, i), t_i, x_i))
         else:
-            jac = finite_difference_add_derivative(F.value, reduced, t_i, x_i, m)
+            jac = finite_difference_add_derivative(F.value, remove_index(cfg, i), t_i, x_i, m)
         if jac.shape != (m, d):
             raise EngineError(f"atom {i}: derivative shape {jac.shape}, expected {(m, d)}")
         if not np.all(np.isfinite(jac)):

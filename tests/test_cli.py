@@ -452,6 +452,28 @@ class TestExitCodes:
         assert error in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "keys,error",
+        [
+            ("euler_step = nan", "euler step must be finite and positive, got nan"),
+            ("euler_step = inf", "euler step must be finite and positive, got inf"),
+            ("z0 = [1.0, 2.0]", "c on a (1, 2) state and a (1, 2) mark must broadcast to (1, 2)"),
+        ],
+        ids=["nan_step", "infinite_step", "short_state"],
+    )
+    def test_jump_sde_inputs_exit_2(self, tmp_path, capsys, keys, error):
+        path = tmp_path / "sde.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 10.0\nlow = -0.3\nhigh = 0.8\ndim = 2\n\n"
+            f"[functional]\nlabel = jump_sde\nt = 1.0\n{keys}\n\n[gamma]\nlabel = diag_x2\ndim = 2\n\n"
+            "[experiment]\nkind = gamma\nseed = 3\n"
+        )
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "FunctionalError" in captured.err and error in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_count_and_zero_scale_accepted(self, tmp_path, capsys):
         path = tmp_path / "ok.cfg"
         base = "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n[experiment]\nkind = identity\nseed = 1\n"

@@ -331,9 +331,7 @@ class TestJumpSDE:
         np.testing.assert_allclose(F.value(cfg), [1.0, -1.0])
 
     def test_linear_reduces_to_path(self):
-        F = make_jump_sde(
-            SYM1, lambda s, z, u: u, [0.0], 1.0, compensator="linear_mark"
-        )
+        F = make_jump_sde(SYM1, lambda s, z, u: u, [0.0], 1.0)
         P = make_path_eval(SYM1, 1.0)
         for seed in range(5):
             cfg = sample_configuration(SYM1, seed)
@@ -359,13 +357,11 @@ class TestJumpSDE:
         cfg = sample_configuration(model, 17)
 
         def c(s, z, u):
-            return np.array([u[0] + 0.5 * z[1], u[1] - 0.3 * z[0]])
+            return np.stack([u[..., 0] + 0.5 * z[..., 1], u[..., 1] - 0.3 * z[..., 0]], axis=-1)
 
         vals = []
         for k in range(5):
-            F = make_jump_sde(
-                model, c, [0.2, -0.1], 1.0, euler_step=0.08 / 2**k, compensator="linear_mark"
-            )
+            F = make_jump_sde(model, c, [0.2, -0.1], 1.0, euler_step=0.08 / 2**k)
             vals.append(F.value(cfg))
         errs = [float(np.linalg.norm(v - vals[-1])) for v in vals[:-1]]
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1) if errs[i + 1] > 0]

@@ -17,6 +17,7 @@ from lentparticle.configuration import (
 from lentparticle.functionals import (
     build_functional,
     finite_difference_add_derivative,
+    finite_difference_lent_jacobians,
     make_doleans,
     make_generalized_ou,
     make_pair_doleans,
@@ -472,6 +473,8 @@ ORACLE_CASES = [
     ("area", lambda: make_stochastic_area(D2, 1.0), D2, "diag_x2", "closed", 60),
     ("area_fd", lambda: make_stochastic_area(D2, 1.0), D2, "diag_x2", "fd", 60),
     ("triangular_fd", lambda: make_triangular_sde(D2, euler_step=0.05), D2, "diag_x2", "fd", 10),
+    ("triangular_fd_criterion1", lambda: make_triangular_sde(D2, (0.1, -0.2, 0.3), 1.0, euler_step=2e-3), D2, "diag_x2", "fd", 4),
+    ("triangular_fd_t_half", lambda: make_triangular_sde(D2, (0.1, -0.2, 0.3), 0.5, euler_step=0.01), D2, "diag_x2", "fd", 10),
     ("identity_pair", lambda: make_pair_doleans(D1, 1.0), D1, "identity", "closed", 20),
     ("polar_area", lambda: make_stochastic_area(D2, 1.0), D2, "polar", "closed", 20),
 ]
@@ -493,6 +496,35 @@ def test_array_engine_matches_per_atom_loop_bit_for_bit(name, build, model, spec
             assert got.tobytes() == want.tobytes()
         assert sharp_sample_many(F, cfg, spec, 8, seed=i, mode=mode).tobytes() == sharp.tobytes()
     assert atoms > 2 * nconfigs
+
+
+def test_jump_sde_value_marks_rows_are_values_of_the_lent_and_perturbed_configurations():
+    F = make_triangular_sde(D2, (0.1, -0.2, 0.3), 0.5, euler_step=0.01)
+    cfg = sample_configuration(D2, 41, 3)
+    n, d = cfg.n_atoms, cfg.dim
+    stacks = []
+
+    def value_marks(c, marks):
+        stacks.append(marks)
+        return F.value_marks(c, marks)
+
+    jacs = finite_difference_lent_jacobians(value_marks, cfg, F.out_dim)
+    (stack,) = stacks
+    assert stack.shape == (2 * d * n, n, d)
+    rows = F.value_marks(cfg, stack)
+    for r, (i, k, sign) in enumerate(np.ndindex(n, d, 2)):
+        moved = stack[r, i] - cfg.marks[i]
+        assert np.count_nonzero(moved) == 1 and (moved[k] > 0) == (sign == 0)
+        lent = add_particle(remove_index(cfg, i), Atom(float(cfg.times[i]), stack[r, i]))
+        assert lent.marks.tobytes() == stack[r].tobytes()
+        assert rows[r].tobytes() == F.value(lent).tobytes()
+    for i in range(n):
+        want = finite_difference_add_derivative(F.value, remove_index(cfg, i), float(cfg.times[i]), cfg.marks[i], F.out_dim)
+        assert jacs[i].tobytes() == want.tobytes()
+    empty = Configuration(1.0, 2, [], [], "manual")
+    cdc = carre_du_champ(F, empty, diag_squares_gamma(2), mode="fd")
+    assert cdc.matrix.tobytes() == np.zeros((3, 3)).tobytes()
+    assert cdc.contributions.shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("label", sorted(PER_MARK))
