@@ -18,10 +18,15 @@ Two optional hooks evaluate F many times in one call, each with the bits of
 ``BatchedConfigurations``, and ``value_marks(cfg, marks)`` at cfg's atom
 times under each of K mark arrays ``(K, n, d)``.  Lending an atom and taking
 it back keeps the atom times, so ``finite_difference_lent_jacobians`` gets
-the fd Jacobians of every lent atom from one ``value_marks`` call.  The jump
-SDE ships it: its coefficient ``c(s, z, u)`` broadcasts over leading axes
-(``z (..., m)``, ``u (..., d)`` -> ``(..., m)``), so one Euler pass advances
-all K states, and its compensator drift is ``c(s, z, mean)``.
+the fd Jacobians of every lent atom from one ``value_marks`` call.  Three
+functionals ship it, and each ``value`` is its one-row case:
+- the jump SDE: its coefficient ``c(s, z, u)`` broadcasts over leading axes
+  (``z (..., m)``, ``u (..., d)`` -> ``(..., m)``), so one Euler pass
+  advances all K states, and its compensator drift is ``c(s, z, mean)``;
+- the time integral: ``g`` (``(..., d) -> (..., m)``) and ``gprime``
+  (``(..., d) -> (..., m, d)``) broadcast over leading axes, so all segments,
+  quadrature nodes and mark sets go through one ``g`` call;
+- the stochastic area: its prefix sums carry a leading K axis.
 """
 
 from __future__ import annotations
@@ -86,12 +91,14 @@ def batch_values(F: Functional, batch: BatchedConfigurations) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(batch.nsamples, F.out_dim)
 
 
-def _fd_step(x: np.ndarray, k: int) -> float:
-    """Central-difference step for mark coordinate k at x, halved if x +- h e_k is the excluded zero mark."""
-    h = max(1e-5, 1e-7 * abs(x[k]))
-    if abs(x[k]) == h and not np.any(np.delete(x, k)):
-        h *= 0.5
-    return h
+def _fd_steps(marks: np.ndarray) -> np.ndarray:
+    """Central-difference steps (n, d) at every mark coordinate.
+
+    h = max(1e-5, 1e-7 |x_k|), halved where x +- h e_k is the excluded zero mark.
+    """
+    h = np.maximum(1e-5, 1e-7 * np.abs(marks))
+    others_zero = np.count_nonzero(marks, axis=1)[:, None] == (marks != 0)
+    return np.where((np.abs(marks) == h) & others_zero, 0.5 * h, h)
 
 
 def finite_difference_add_derivative(
@@ -105,8 +112,7 @@ def finite_difference_add_derivative(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.size
     jac = np.empty((out_dim, d))
-    for k in range(d):
-        h = _fd_step(x, k)
+    for k, h in enumerate(_fd_steps(x[None])[0]):
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
@@ -130,7 +136,7 @@ def finite_difference_lent_jacobians(
     n, d = cfg.n_atoms, cfg.dim
     if n == 0:
         return np.empty((0, out_dim, d))
-    h = np.array([[_fd_step(x, k) for k in range(d)] for x in cfg.marks])
+    h = _fd_steps(cfg.marks)
     marks = np.broadcast_to(cfg.marks, (n, d, 2, n, d)).copy()
     i, k = np.meshgrid(np.arange(n), np.arange(d), indexing="ij")
     marks[i, k, 0, i, k] += h
@@ -300,21 +306,21 @@ def make_stochastic_area(model: IntensityModel, t: float) -> Functional:
         raise FunctionalError("stochastic area needs mark dimension 2")
     mean = model.mean
 
-    def value(cfg: Configuration) -> np.ndarray:
-        sel = _upto(cfg, t)
-        ts = cfg.times[sel]
-        dj = cfg.marks[sel]
+    def value_marks(cfg: Configuration, marks: np.ndarray) -> np.ndarray:
+        ts = cfg.times[_upto(cfg, t)]
         n = ts.size
-        jved = np.vstack([np.zeros(2), np.cumsum(dj, axis=0)])  # J after i jumps
-        left = jved[:n] - ts[:, None] * mean                      # X(tau_i-)
-        area = float(np.sum(left[:, 0] * dj[:, 1] - left[:, 1] * dj[:, 0]))
+        dj = marks[:, :n]
+        # J after i jumps, and X(tau_i-)
+        jved = np.concatenate([np.zeros((len(marks), 1, 2)), np.cumsum(dj, axis=1)], axis=1)
+        left = jved[:, :n] - ts[:, None] * mean
+        area = np.sum(left[..., 0] * dj[..., 1] - left[..., 1] * dj[..., 0], axis=-1)
         # drift corrections -mu2 int X1 + mu1 int X2 with int X = int J - mu t^2/2
-        seg = np.diff(np.concatenate([ts, [t]])) if n else np.array([])
-        int_j = jved[1:].T @ seg if n else np.zeros(2)
-        int_x = int_j - mean * 0.5 * t * t
-        area += -mean[1] * int_x[0] + mean[0] * int_x[1]
-        xt = jved[n] - t * mean
-        return np.array([xt[0], xt[1], area])
+        int_x = np.einsum("kna,n->ka", jved[:, 1:], np.diff(np.append(ts, t))) - mean * 0.5 * t * t
+        area += -mean[1] * int_x[:, 0] + mean[0] * int_x[:, 1]
+        return np.column_stack([jved[:, n] - t * mean, area])
+
+    def value(cfg: Configuration) -> np.ndarray:
+        return value_marks(cfg, cfg.marks[None])[0]
 
     def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
         if alpha > t:
@@ -326,19 +332,22 @@ def make_stochastic_area(model: IntensityModel, t: float) -> Functional:
         b = xt[0] - xa[0] - xam[0]
         return np.array([[1.0, 0.0], [0.0, 1.0], [a, -b]])
 
-    return Functional(f"area(t={t})", 3, 2, value, add_derivative)
+    return Functional(f"area(t={t})", 3, 2, value, add_derivative, value_marks=value_marks)
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _segment_quad(fn: Callable[[float], np.ndarray], a: float, b: float) -> np.ndarray:
-    """8-point Gauss-Legendre of a vector-valued integrand on [a, b]."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    acc = 0.0
-    for node, w in zip(_GL8_NODES, _GL8_WEIGHTS):
-        acc = acc + w * np.asarray(fn(mid + half * node))
-    return half * acc
+def _broadcast_check(fn: Callable, probe: np.ndarray, shape: tuple[int, ...], name: str) -> None:
+    """fn must map the (2, d) probe to (2,) + shape, each row equal to fn of that row alone."""
+    expected = f"{name} must broadcast over leading axes, {probe.shape} -> {(2,) + shape}"
+    try:
+        rows = np.asarray(fn(probe), dtype=float)
+        points = np.array([np.asarray(fn(y), dtype=float) for y in probe])
+    except (ValueError, TypeError, IndexError) as exc:
+        raise FunctionalError(f"{expected}: {exc}") from exc
+    if not (rows.shape == points.shape == (2,) + shape and np.allclose(rows, points, rtol=1e-12, atol=1e-12)):
+        raise FunctionalError(f"{expected}, got {rows.shape} against per-point rows {points.shape}")
 
 
 def make_time_integral(
@@ -350,41 +359,56 @@ def make_time_integral(
 ) -> Functional:
     """int_0^t g(Y_s) ds along the piecewise-linear compensated path.
 
-    g maps R^d -> R^m with Jacobian gprime, and m is read off g(0).
-    Integration is 8-point Gauss-Legendre per inter-jump segment, exact for
-    the shipped polynomial probes.  The added-particle derivative is
-    int_alpha^t gprime(Y_s + x) ds.
+    g maps (..., d) -> (..., m) and its Jacobian gprime (..., d) -> (..., m, d),
+    both broadcasting over leading axes (checked on a (2, d) probe); m is read
+    off g(0).  Integration is 8-point Gauss-Legendre per inter-jump segment,
+    exact for the shipped polynomial probes, with every segment x node (x mark
+    set) in one g call: value_marks integrates K mark arrays at once and value
+    is its one-row case.  The added-particle derivative is int_alpha^t
+    gprime(Y_s + x) ds, all segments in one gprime call.
     """
     _check_window(t, model.horizon)
     mean = model.mean
     d = model.dim
     out_dim = np.atleast_1d(g(np.zeros(d))).size
+    probe = np.array([[0.5], [-0.25]]) * np.arange(1, d + 1)
+    _broadcast_check(g, probe, (out_dim,), "g")
+    _broadcast_check(gprime, probe, (out_dim, d), "gprime")
 
-    def segments(cfg: Configuration, start: float) -> list[tuple[float, float]]:
+    def segments(cfg: Configuration, start: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Inter-jump segments of [start, t]: left ends, right ends, atoms at or before each left end."""
         inner = cfg.times[(cfg.times > start) & (cfg.times < t)]
         pts = np.concatenate([[start], inner, [t]])
-        return [(pts[i], pts[i + 1]) for i in range(pts.size - 1) if pts[i + 1] > pts[i]]
+        keep = pts[1:] > pts[:-1]
+        a, b = pts[:-1][keep], pts[1:][keep]
+        return a, b, np.searchsorted(cfg.times, a, side="right")
+
+    def integrate(fn: Callable, base: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum over segments of int_a^b fn(base - s mean) ds for bases (..., S, d)."""
+        half = 0.5 * (b - a)
+        s = (0.5 * (a + b))[:, None] + half[:, None] * _GL8_NODES  # (S, 8)
+        vals = fn(base[..., None, :] - s[..., None] * mean)
+        lead = base.ndim - 2
+        w = (half[:, None] * _GL8_WEIGHTS).reshape(s.shape + (1,) * (vals.ndim - lead - 2))
+        # C order fixes the summation order, so each leading row gets the bits it gets alone
+        return np.ascontiguousarray(w * vals).sum(axis=(lead, lead + 1))
+
+    def value_marks(cfg: Configuration, marks: np.ndarray) -> np.ndarray:
+        a, b, counts = segments(cfg, 0.0)
+        prefix = np.concatenate([np.zeros((len(marks), 1, d)), np.cumsum(marks, axis=1)], axis=1)
+        return integrate(g, prefix[:, counts], a, b)
 
     def value(cfg: Configuration) -> np.ndarray:
-        acc = np.zeros(out_dim)
-        for a, b in segments(cfg, 0.0):
-            base = cfg.marks[_upto(cfg, a)].sum(axis=0)
-            acc = acc + _segment_quad(lambda s: np.atleast_1d(g(base - s * mean)), a, b)
-        return acc
+        return value_marks(cfg, cfg.marks[None])[0]
 
     def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
         if alpha >= t:
             return np.zeros((out_dim, d))
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        acc = np.zeros((out_dim, d))
-        for a, b in segments(cfg, alpha):
-            base = cfg.marks[_upto(cfg, a)].sum(axis=0) + x
-            acc = acc + _segment_quad(
-                lambda s: np.atleast_2d(gprime(base - s * mean)), a, b
-            )
-        return acc
+        a, b, counts = segments(cfg, alpha)
+        prefix = np.concatenate([np.zeros((1, d)), np.cumsum(cfg.marks, axis=0)])
+        return integrate(gprime, prefix[counts] + np.asarray(x, dtype=float).reshape(d), a, b)
 
-    return Functional(f"{label}(t={t})", out_dim, d, value, add_derivative)
+    return Functional(f"{label}(t={t})", out_dim, d, value, add_derivative, value_marks=value_marks)
 
 
 def make_generalized_ou(model: IntensityModel, x0: float, t: float) -> Functional:
@@ -633,10 +657,11 @@ def make_triangular_sde(
         raise FunctionalError("this preset needs mark dimension 2")
 
     def c(s: float, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.empty(np.broadcast_shapes(z.shape[:-1], u.shape[:-1]) + (3,))
+        z0u0 = z[..., 0] * u[..., 0]
+        out = np.empty(z0u0.shape + (3,))
         out[..., 0] = u[..., 0]
-        out[..., 1] = 2.0 * z[..., 0] * u[..., 0] + u[..., 1]
-        out[..., 2] = z[..., 0] * u[..., 0] + 2.0 * u[..., 1]
+        out[..., 1] = 2.0 * z0u0 + u[..., 1]  # 2 (z0 u0) = (2 z0) u0: doubling is exact
+        out[..., 2] = z0u0 + 2.0 * u[..., 1]
         return out
 
     return make_jump_sde(
@@ -654,15 +679,9 @@ def make_triangular_sde(
 # ---------------------------------------------------------------------------
 
 _TIME_INTEGRAL_PROBES: dict[str, tuple[Callable, Callable]] = {
-    "identity": (lambda y: y[:1], lambda y: np.eye(1, y.size)),
-    "square": (
-        lambda y: np.array([float(y @ y)]),
-        lambda y: 2.0 * y.reshape(1, -1),
-    ),
-    "cubic": (
-        lambda y: np.array([float(np.sum(y**3))]),
-        lambda y: 3.0 * (y**2).reshape(1, -1),
-    ),
+    "identity": (lambda y: y[..., :1], lambda y: np.zeros(y.shape[:-1] + (1, 1)) + np.eye(1, y.shape[-1])),
+    "square": (lambda y: np.sum(y * y, axis=-1, keepdims=True), lambda y: 2.0 * y[..., None, :]),
+    "cubic": (lambda y: np.sum(y**3, axis=-1, keepdims=True), lambda y: 3.0 * (y**2)[..., None, :]),
 }
 
 

@@ -82,7 +82,7 @@ def test_criterion_01_oracle_equivalence():
         (
             "time_integral",
             make_time_integral(
-                D1, lambda y: np.array([float(y @ y)]), lambda y: 2.0 * y.reshape(1, -1)
+                D1, lambda y: np.sum(y * y, axis=-1, keepdims=True), lambda y: 2.0 * y[..., None, :]
             ),
             D1,
             SPEC1,

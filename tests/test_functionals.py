@@ -13,6 +13,7 @@ from lentparticle.configuration import (
 )
 from lentparticle.functionals import (
     FunctionalError,
+    _fd_steps,
     batch_values,
     PiecewiseConstant,
     finite_difference_add_derivative,
@@ -28,6 +29,7 @@ from lentparticle.functionals import (
     make_time_integral,
 )
 from lentparticle.intensities import uniform_model
+from lentparticle.lent_particle import carre_du_champ, diag_squares_gamma
 from lentparticle.rng import substream
 
 SYM1 = uniform_model(1.0, rate=2.0, low=-0.9, high=0.9, label="sym1")
@@ -89,6 +91,27 @@ class TestPathEval:
         jac = finite_difference_add_derivative(value, EX1, 0.4, np.array([x]), 1)
         assert sorted(added) == pytest.approx(sorted([x - 5e-6, x + 5e-6]), rel=1e-12)
         np.testing.assert_allclose(jac, [[1.0]], rtol=1e-9)
+
+
+def _fd_step_per_coordinate(x, k):
+    """The per-coordinate step rule _fd_steps vectorizes, kept as its oracle."""
+    h = max(1e-5, 1e-7 * abs(x[k]))
+    if abs(x[k]) == h and not np.any(np.delete(x, k)):
+        h *= 0.5
+    return h
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fd_steps_match_the_per_coordinate_rule_bit_for_bit(d):
+    rng = substream(91)
+    marks = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-7, 9, size=(300, 1))
+    # marks one step from the excluded zero mark, and marks with other coordinates set
+    marks[:3] = 0.0
+    marks[0, 0], marks[1, -1], marks[2, 0] = 1e-5, -1e-5, 2e2
+    marks[3] = 1e-5
+    want = np.array([[_fd_step_per_coordinate(x, k) for k in range(d)] for x in marks])
+    assert _fd_steps(marks).tobytes() == want.tobytes()
+    assert (want[:2] == 5e-6).sum() == 2
 
 
 class TestDoleans:
@@ -204,11 +227,11 @@ class TestTimeIntegral:
     @staticmethod
     def square(model=SYM1, t=1.0):
         return make_time_integral(
-            model, lambda y: np.array([float(y @ y)]), lambda y: 2.0 * y.reshape(1, -1), t=t
+            model, lambda y: np.sum(y * y, axis=-1, keepdims=True), lambda y: 2.0 * y[..., None, :], t=t
         )
 
     def test_identity_empty(self):
-        F = make_time_integral(SYM1, lambda y: y[:1], lambda y: np.eye(1), t=1.0)
+        F = make_time_integral(SYM1, lambda y: y[..., :1], lambda y: np.ones(y.shape[:-1] + (1, 1)), t=1.0)
         assert F.value(EMPTY1)[0] == pytest.approx(0.0)
 
     def test_step_path(self):
@@ -221,6 +244,22 @@ class TestTimeIntegral:
         one = cfg_of([0.25], [[1.0]])
         d = F.add_derivative(one, 0.5, np.array([0.0]))
         assert d[0, 0] == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "bad,g,gprime",
+        [
+            ("g", lambda y: y[:1], lambda y: np.zeros(y.shape[:-1] + (1, 1)) + np.eye(1, y.shape[-1])),
+            ("g", lambda y: np.array([float(y @ y)]), lambda y: 2.0 * y[..., None, :]),
+            ("gprime", lambda y: y[..., :1], lambda y: np.eye(1, y.size)),
+            ("gprime", lambda y: np.sum(y * y, axis=-1, keepdims=True), lambda y: 2.0 * y.reshape(1, -1)),
+        ],
+        ids=["first_coordinate", "square", "first_coordinate_jacobian", "square_jacobian"],
+    )
+    @pytest.mark.parametrize("model", [SYM1, SYM2], ids=["d1", "d2"])
+    def test_per_point_probe_raises(self, bad, g, gprime, model):
+        # a per-point g or gprime would return the wrong rows on the (..., d) arrays it is given
+        with pytest.raises(FunctionalError, match=f"^{bad} must broadcast over leading axes"):
+            make_time_integral(model, g, gprime)
 
     def test_derivative_matches_fd_with_drift(self):
         F = self.square(DRIFT1)
@@ -351,6 +390,26 @@ class TestJumpSDE:
         assert fd[0, 0] == pytest.approx(1.0, rel=1e-6)
         assert fd[0, 1] == pytest.approx(0.0, abs=1e-9)
 
+    def test_triangular_coefficient_keeps_the_parent_bits(self):
+        # c computes z0 u0 once and doubles it; (2 z0) u0 = 2 (z0 u0) exactly
+        def c_per_term(s, z, u):
+            out = np.empty(np.broadcast_shapes(z.shape[:-1], u.shape[:-1]) + (3,))
+            out[..., 0] = u[..., 0]
+            out[..., 1] = 2.0 * z[..., 0] * u[..., 0] + u[..., 1]
+            out[..., 2] = z[..., 0] * u[..., 0] + 2.0 * u[..., 1]
+            return out
+
+        spec = diag_squares_gamma(2)
+        for step in (2e-3, 1e-3):
+            F = make_triangular_sde(DRIFT2, (0.1, -0.2, 0.3), 1.0, euler_step=step)
+            G = make_jump_sde(DRIFT2, c_per_term, (0.1, -0.2, 0.3), 1.0, euler_step=step)
+            for seed in range(3):
+                cfg = sample_configuration(DRIFT2, 60, seed)
+                assert F.value(cfg).tobytes() == G.value(cfg).tobytes()
+                got, want = carre_du_champ(F, cfg, spec, mode="fd"), carre_du_champ(G, cfg, spec, mode="fd")
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+                assert got.contributions.tobytes() == want.contributions.tobytes()
+
     def test_euler_first_order_convergence(self):
         # state-linear drift: error halves with the step
         model = DRIFT2
@@ -450,7 +509,7 @@ class TestIndependentValueOracles:
         (lambda m: make_stochastic_area(m, 1.0), DRIFT2, 2),
         (
             lambda m: make_time_integral(
-                m, lambda y: np.array([float(y @ y)]), lambda y: 2.0 * y.reshape(1, -1)
+                m, lambda y: np.sum(y * y, axis=-1, keepdims=True), lambda y: 2.0 * y[..., None, :]
             ),
             DRIFT1,
             1,

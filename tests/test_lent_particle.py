@@ -498,33 +498,63 @@ def test_array_engine_matches_per_atom_loop_bit_for_bit(name, build, model, spec
     assert atoms > 2 * nconfigs
 
 
+def _assert_value_marks_rows_are_lent_values(F, model):
+    """Every stacked row is F.value on its lent-and-perturbed configuration, bit for bit.
+
+    Configurations: a sampled one, one with an atom at time 0 (and one after
+    t = 0.5), and the empty one, whose Gamma is zero.
+    """
+    d = model.dim
+    at_zero = Configuration(1.0, d, [0.0, 0.3, 0.7], np.linspace(-0.4, 0.6, 3 * d).reshape(3, d), "manual")
+    for cfg in (sample_configuration(model, 41, 3), at_zero):
+        n = cfg.n_atoms
+        stacks = []
+
+        def value_marks(c, marks):
+            stacks.append(marks)
+            return F.value_marks(c, marks)
+
+        jacs = finite_difference_lent_jacobians(value_marks, cfg, F.out_dim)
+        (stack,) = stacks
+        assert stack.shape == (2 * d * n, n, d)
+        rows = F.value_marks(cfg, stack)
+        for r, (i, k, sign) in enumerate(np.ndindex(n, d, 2)):
+            moved = stack[r, i] - cfg.marks[i]
+            assert np.count_nonzero(moved) == 1 and (moved[k] > 0) == (sign == 0)
+            lent = add_particle(remove_index(cfg, i), Atom(float(cfg.times[i]), stack[r, i]))
+            assert lent.marks.tobytes() == stack[r].tobytes()
+            assert rows[r].tobytes() == F.value(lent).tobytes()
+        for i in range(n):
+            want = finite_difference_add_derivative(F.value, remove_index(cfg, i), float(cfg.times[i]), cfg.marks[i], F.out_dim)
+            assert jacs[i].tobytes() == want.tobytes()
+    empty = Configuration(1.0, d, [], [], "manual")
+    assert F.value_marks(empty, empty.marks[None]).tobytes() == F.value(empty)[None].tobytes()
+    cdc = carre_du_champ(F, empty, diag_squares_gamma(d), mode="fd")
+    assert cdc.matrix.tobytes() == np.zeros((F.out_dim, F.out_dim)).tobytes()
+    assert cdc.contributions.shape == (0, F.out_dim, F.out_dim)
+
+
 def test_jump_sde_value_marks_rows_are_values_of_the_lent_and_perturbed_configurations():
-    F = make_triangular_sde(D2, (0.1, -0.2, 0.3), 0.5, euler_step=0.01)
-    cfg = sample_configuration(D2, 41, 3)
-    n, d = cfg.n_atoms, cfg.dim
-    stacks = []
+    for t in (1.0, 0.5):
+        _assert_value_marks_rows_are_lent_values(make_triangular_sde(D2, (0.1, -0.2, 0.3), t, euler_step=0.01), D2)
 
-    def value_marks(c, marks):
-        stacks.append(marks)
-        return F.value_marks(c, marks)
 
-    jacs = finite_difference_lent_jacobians(value_marks, cfg, F.out_dim)
-    (stack,) = stacks
-    assert stack.shape == (2 * d * n, n, d)
-    rows = F.value_marks(cfg, stack)
-    for r, (i, k, sign) in enumerate(np.ndindex(n, d, 2)):
-        moved = stack[r, i] - cfg.marks[i]
-        assert np.count_nonzero(moved) == 1 and (moved[k] > 0) == (sign == 0)
-        lent = add_particle(remove_index(cfg, i), Atom(float(cfg.times[i]), stack[r, i]))
-        assert lent.marks.tobytes() == stack[r].tobytes()
-        assert rows[r].tobytes() == F.value(lent).tobytes()
-    for i in range(n):
-        want = finite_difference_add_derivative(F.value, remove_index(cfg, i), float(cfg.times[i]), cfg.marks[i], F.out_dim)
-        assert jacs[i].tobytes() == want.tobytes()
-    empty = Configuration(1.0, 2, [], [], "manual")
-    cdc = carre_du_champ(F, empty, diag_squares_gamma(2), mode="fd")
-    assert cdc.matrix.tobytes() == np.zeros((3, 3)).tobytes()
-    assert cdc.contributions.shape == (0, 3, 3)
+VALUE_MARKS_CASES = [
+    *[
+        (f"time_integral[{g}]_d{model.dim}", lambda t, g=g, model=model: build_functional("time_integral", model, g=g, t=t), model)
+        for g in ("identity", "square", "cubic")
+        for model in (D1, D2)
+    ],
+    ("area", lambda t: make_stochastic_area(D2, t), D2),
+]
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5])
+@pytest.mark.parametrize("name,build,model", VALUE_MARKS_CASES, ids=[c[0] for c in VALUE_MARKS_CASES])
+def test_value_marks_rows_are_values_of_the_lent_and_perturbed_configurations(name, build, model, t):
+    F = build(t)
+    assert F.value_marks is not None and F.has_closed_derivative
+    _assert_value_marks_rows_are_lent_values(F, model)
 
 
 @pytest.mark.parametrize("label", sorted(PER_MARK))
