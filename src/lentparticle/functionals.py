@@ -27,6 +27,11 @@ functionals ship it, and each ``value`` is its one-row case:
   (``(..., d) -> (..., m, d)``) broadcast over leading axes, so all segments,
   quadrature nodes and mark sets go through one ``g`` call;
 - the stochastic area: its prefix sums carry a leading K axis.
+
+Every path functional reads the compensated path from three helpers:
+``_prefix`` (the jump sums after 0, 1, ..., n atoms, with or without a
+leading K axis), ``_segments`` (the inter-jump segments of an interval) and
+``_path`` (Y at an array of points, right values or left limits).
 """
 
 from __future__ import annotations
@@ -122,6 +127,10 @@ def finite_difference_add_derivative(
     return jac
 
 
+# mark-set atoms (rows x n) per value_marks call in finite_difference_lent_jacobians
+_FD_BLOCK_ATOMS = 1 << 14
+
+
 def finite_difference_lent_jacobians(
     value_marks: Callable[[Configuration, np.ndarray], np.ndarray],
     cfg: Configuration,
@@ -129,21 +138,27 @@ def finite_difference_lent_jacobians(
 ) -> np.ndarray:
     """Central-difference Jacobians at every atom with that atom lent back, shape (n, out_dim, d).
 
-    Row (i, k, +-) of the one value_marks call is cfg.marks with mark i moved
+    Row (i, k, +-) of the value_marks calls is cfg.marks with mark i moved
     to x_i +- h e_k: the configuration remove_index(cfg, i) + (t_i, x_i +- h e_k),
     so atom i's Jacobian has the bits of finite_difference_add_derivative there.
+    The 2 d n rows go in blocks of _FD_BLOCK_ATOMS // n, so memory grows as n, not n^2.
     """
     n, d = cfg.n_atoms, cfg.dim
     if n == 0:
         return np.empty((0, out_dim, d))
     h = _fd_steps(cfg.marks)
-    marks = np.broadcast_to(cfg.marks, (n, d, 2, n, d)).copy()
-    i, k = np.meshgrid(np.arange(n), np.arange(d), indexing="ij")
-    marks[i, k, 0, i, k] += h
-    marks[i, k, 1, i, k] -= h
-    vals = np.asarray(value_marks(cfg, marks.reshape(2 * d * n, n, d)))
-    if vals.shape != (2 * d * n, out_dim):
-        raise FunctionalError(f"value_marks shape {vals.shape}, expected {(2 * d * n, out_dim)}")
+    steps = np.stack([h, -h], axis=-1).ravel()  # row (i, k, +-) in C order
+    atom, coord = np.divmod(np.arange(2 * d * n) // 2, d)
+    vals = np.empty((2 * d * n, out_dim))
+    block = max(1, _FD_BLOCK_ATOMS // n)
+    for lo in range(0, 2 * d * n, block):
+        rows = np.arange(lo, min(lo + block, 2 * d * n))
+        marks = np.broadcast_to(cfg.marks, (rows.size, n, d)).copy()
+        marks[rows - lo, atom[rows], coord[rows]] += steps[rows]
+        got = np.asarray(value_marks(cfg, marks))
+        if got.shape != (rows.size, out_dim):
+            raise FunctionalError(f"value_marks shape {got.shape}, expected {(rows.size, out_dim)}")
+        vals[rows] = got
     vals = vals.reshape(n, d, 2, out_dim)
     return ((vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1)
 
@@ -212,15 +227,26 @@ def compose_functional(
 # path helpers
 # ---------------------------------------------------------------------------
 
-def _upto(cfg: Configuration, t: float, strict: bool = False) -> slice:
-    side = "left" if strict else "right"
-    return slice(0, int(np.searchsorted(cfg.times, t, side=side)))
+def _prefix(marks: np.ndarray) -> np.ndarray:
+    """Jump sums after 0, 1, ..., n atoms, in atom order: (..., n, d) -> (..., n + 1, d)."""
+    out = np.zeros(marks.shape[:-2] + (marks.shape[-2] + 1, marks.shape[-1]))
+    np.cumsum(marks, axis=-2, out=out[..., 1:, :])
+    return out
 
 
-def _path_value(cfg: Configuration, mean: np.ndarray, s: float, strict: bool = False) -> np.ndarray:
-    """Compensated path at s (left limit if strict)."""
-    sel = _upto(cfg, s, strict)
-    return cfg.marks[sel].sum(axis=0) - s * mean
+def _segments(cfg: Configuration, start: float, end: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inter-jump segments of [start, end]: left ends, right ends, atoms at or before each left end."""
+    inner = cfg.times[(cfg.times > start) & (cfg.times < end)]
+    pts = np.concatenate([[start], inner, [end]])
+    keep = pts[1:] > pts[:-1]
+    a, b = pts[:-1][keep], pts[1:][keep]
+    return a, b, np.searchsorted(cfg.times, a, side="right")
+
+
+def _path(cfg: Configuration, mean: np.ndarray, s, side: str) -> np.ndarray:
+    """Compensated path at the points s, shape s.shape + (d,): right values, or left limits if side is "left"."""
+    s = np.asarray(s, dtype=float)
+    return _prefix(cfg.marks)[np.searchsorted(cfg.times, s, side=side)] - s[..., None] * mean
 
 
 def _check_window(t: float, horizon: float) -> None:
@@ -241,7 +267,7 @@ def make_path_eval(model: IntensityModel, t: float) -> Functional:
     zero = np.zeros((d, d))
 
     def value(cfg: Configuration) -> np.ndarray:
-        return _path_value(cfg, mean, t)
+        return _path(cfg, mean, t, "right")
 
     def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
         return eye if alpha <= t else zero
@@ -256,7 +282,7 @@ def _check_doleans_jumps(jumps: np.ndarray) -> None:
 
 def _doleans_value(cfg: Configuration, mean: np.ndarray, t: float) -> float:
     # exp(Y_t) prod (1 + dY) exp(-dY) collapses to exp(-t*mean) prod (1 + dY)
-    jumps = cfg.marks[_upto(cfg, t), 0]
+    jumps = cfg.marks[: int(np.searchsorted(cfg.times, t, side="right")), 0]
     _check_doleans_jumps(jumps)
     return math.exp(-t * mean[0]) * float(np.prod(1.0 + jumps))
 
@@ -307,11 +333,10 @@ def make_stochastic_area(model: IntensityModel, t: float) -> Functional:
     mean = model.mean
 
     def value_marks(cfg: Configuration, marks: np.ndarray) -> np.ndarray:
-        ts = cfg.times[_upto(cfg, t)]
-        n = ts.size
-        dj = marks[:, :n]
+        n = int(np.searchsorted(cfg.times, t, side="right"))
+        ts, dj = cfg.times[:n], marks[:, :n]
         # J after i jumps, and X(tau_i-)
-        jved = np.concatenate([np.zeros((len(marks), 1, 2)), np.cumsum(dj, axis=1)], axis=1)
+        jved = _prefix(dj)
         left = jved[:, :n] - ts[:, None] * mean
         area = np.sum(left[..., 0] * dj[..., 1] - left[..., 1] * dj[..., 0], axis=-1)
         # drift corrections -mu2 int X1 + mu1 int X2 with int X = int J - mu t^2/2
@@ -325,11 +350,8 @@ def make_stochastic_area(model: IntensityModel, t: float) -> Functional:
     def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
         if alpha > t:
             return np.zeros((3, 2))
-        xt = _path_value(cfg, mean, t)
-        xa = _path_value(cfg, mean, alpha)
-        xam = _path_value(cfg, mean, alpha, strict=True)
-        a = xt[1] - xa[1] - xam[1]
-        b = xt[0] - xa[0] - xam[0]
+        xt, xa = _path(cfg, mean, [t, alpha], "right")
+        b, a = xt - xa - _path(cfg, mean, alpha, "left")
         return np.array([[1.0, 0.0], [0.0, 1.0], [a, -b]])
 
     return Functional(f"area(t={t})", 3, 2, value, add_derivative, value_marks=value_marks)
@@ -375,14 +397,6 @@ def make_time_integral(
     _broadcast_check(g, probe, (out_dim,), "g")
     _broadcast_check(gprime, probe, (out_dim, d), "gprime")
 
-    def segments(cfg: Configuration, start: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Inter-jump segments of [start, t]: left ends, right ends, atoms at or before each left end."""
-        inner = cfg.times[(cfg.times > start) & (cfg.times < t)]
-        pts = np.concatenate([[start], inner, [t]])
-        keep = pts[1:] > pts[:-1]
-        a, b = pts[:-1][keep], pts[1:][keep]
-        return a, b, np.searchsorted(cfg.times, a, side="right")
-
     def integrate(fn: Callable, base: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """sum over segments of int_a^b fn(base - s mean) ds for bases (..., S, d)."""
         half = 0.5 * (b - a)
@@ -394,9 +408,8 @@ def make_time_integral(
         return np.ascontiguousarray(w * vals).sum(axis=(lead, lead + 1))
 
     def value_marks(cfg: Configuration, marks: np.ndarray) -> np.ndarray:
-        a, b, counts = segments(cfg, 0.0)
-        prefix = np.concatenate([np.zeros((len(marks), 1, d)), np.cumsum(marks, axis=1)], axis=1)
-        return integrate(g, prefix[:, counts], a, b)
+        a, b, counts = _segments(cfg, 0.0, t)
+        return integrate(g, _prefix(marks)[:, counts], a, b)
 
     def value(cfg: Configuration) -> np.ndarray:
         return value_marks(cfg, cfg.marks[None])[0]
@@ -404,9 +417,8 @@ def make_time_integral(
     def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
         if alpha >= t:
             return np.zeros((out_dim, d))
-        a, b, counts = segments(cfg, alpha)
-        prefix = np.concatenate([np.zeros((1, d)), np.cumsum(cfg.marks, axis=0)])
-        return integrate(gprime, prefix[counts] + np.asarray(x, dtype=float).reshape(d), a, b)
+        a, b, counts = _segments(cfg, alpha, t)
+        return integrate(gprime, _prefix(cfg.marks)[counts] + np.asarray(x, dtype=float).reshape(d), a, b)
 
     return Functional(f"{label}(t={t})", out_dim, d, value, add_derivative, value_marks=value_marks)
 
@@ -421,53 +433,28 @@ def make_generalized_ou(model: IntensityModel, x0: float, t: float) -> Functiona
     _check_window(t, model.horizon)
     if model.dim != 2:
         raise FunctionalError("generalized O-U needs mark dimension 2 (xi, eta jumps)")
-    mu_xi, mu_eta = float(model.mean[0]), float(model.mean[1])
+    mean = model.mean
+    mu_xi, mu_eta = float(mean[0]), float(mean[1])
 
-    def xi_at(cfg: Configuration, s: float, strict: bool = False) -> float:
-        return float(cfg.marks[_upto(cfg, s, strict), 0].sum() - mu_xi * s)
-
-    def exp_neg_xi_integral(cfg: Configuration, b: float) -> float:
-        """int_0^b exp(-xi_s) ds, closed form per segment."""
-        ts = cfg.times[_upto(cfg, b)]
-        pts = np.concatenate([[0.0], ts[ts > 0.0], [b]])
-        acc = 0.0
-        cum = 0.0
-        k = 0
-        for i in range(pts.size - 1):
-            a, q = pts[i], pts[i + 1]
-            while k < cfg.n_atoms and cfg.times[k] <= a:
-                cum += cfg.marks[k, 0]
-                k += 1
-            if q > a:
-                if mu_xi == 0.0:
-                    acc += math.exp(-cum) * (q - a)
-                else:
-                    acc += math.exp(-cum) * (math.exp(mu_xi * q) - math.exp(mu_xi * a)) / mu_xi
-        return acc
-
-    def eta_integral(cfg: Configuration, b: float) -> float:
-        """int_[0,b] exp(-xi_s-) d eta_s: jumps at times <= b plus drift part."""
-        sel = _upto(cfg, b)
-        acc = 0.0
-        for i in range(sel.stop):
-            de = cfg.marks[i, 1]
-            if de != 0.0:
-                acc += math.exp(-xi_at(cfg, cfg.times[i], strict=True)) * de
-        return acc - mu_eta * exp_neg_xi_integral(cfg, b)
+    def discounted(cfg: Configuration, b: float) -> float:
+        """x0 + int_[0,b] exp(-xi_s-) d eta_s: the eta jumps at times <= b, then the drift per segment."""
+        jump_times = cfg.times[: int(np.searchsorted(cfg.times, b, side="right"))]
+        jumps = np.exp(-_path(cfg, mean, jump_times, "left")[:, 0]) @ cfg.marks[: jump_times.size, 1]
+        a, q, _ = _segments(cfg, 0.0, b)
+        # int_a^q exp(-xi_s) ds with xi_s = xi_a - mu_xi (s - a)
+        widths = q - a if mu_xi == 0.0 else np.expm1(mu_xi * (q - a)) / mu_xi
+        return x0 + (jumps - mu_eta * (np.exp(-_path(cfg, mean, a, "right")[:, 0]) @ widths))
 
     def value(cfg: Configuration) -> np.ndarray:
-        return np.array([math.exp(xi_at(cfg, t)) * (x0 + eta_integral(cfg, t))])
+        return np.array([math.exp(_path(cfg, mean, t, "right")[0]) * discounted(cfg, t)])
 
     def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
         if alpha > t:
             return np.zeros((1, 2))
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        dxi, deta = float(x[0]), float(x[1])
-        front = math.exp(xi_at(cfg, t) + dxi)
-        disc = math.exp(-xi_at(cfg, alpha, strict=True))
-        d_xi = front * (x0 + eta_integral(cfg, alpha) + disc * deta)
-        d_eta = front * disc
-        return np.array([[d_xi, d_eta]])
+        dxi, deta = np.asarray(x, dtype=float).reshape(2)
+        front = math.exp(_path(cfg, mean, t, "right")[0] + dxi)
+        disc = math.exp(-_path(cfg, mean, alpha, "left")[0])
+        return np.array([[front * (discounted(cfg, alpha) + disc * deta), front * disc]])
 
     return Functional(f"gou(x0={x0},t={t})", 1, 2, value, add_derivative)
 
@@ -487,13 +474,10 @@ class PiecewiseConstant:
         ):
             raise FunctionalError("breakpoints must start at 0 and increase")
 
-    def __call__(self, s: float) -> float:
-        i = int(np.searchsorted(self.breaks, s, side="right")) - 1
-        return self.values[max(i, 0)]
-
-    def left(self, s: float) -> float:
-        i = int(np.searchsorted(self.breaks, s, side="left")) - 1
-        return self.values[max(i, 0)]
+    def __call__(self, s: np.ndarray, side: str) -> np.ndarray:
+        """Values at the points s: right values, or left limits if side is "left"."""
+        i = np.searchsorted(self.breaks, s, side=side) - 1
+        return np.asarray(self.values)[np.maximum(i, 0)]
 
 
 def make_running_sup(
@@ -510,50 +494,28 @@ def make_running_sup(
     if model.dim != 1:
         raise FunctionalError("running sup ships for mark dimension 1")
     K = K or PiecewiseConstant()
-    mu = float(model.mean[0])
+    mean = model.mean
+    breaks = np.asarray(K.breaks)
 
-    def H(cfg: Configuration, s: float) -> float:
-        return float(cfg.marks[_upto(cfg, s), 0].sum() - mu * s + K(s))
-
-    def H_left(cfg: Configuration, s: float) -> float:
-        return float(cfg.marks[_upto(cfg, s, strict=True), 0].sum() - mu * s + K.left(s))
-
-    def events(cfg: Configuration, lo: float, hi: float) -> np.ndarray:
-        ev = [lo, hi]
-        ev.extend(cfg.times[(cfg.times > lo) & (cfg.times < hi)])
-        ev.extend(b for b in K.breaks if lo < b < hi)
-        return np.unique(np.asarray(ev))
-
-    def sup_closed(cfg: Configuration, lo: float, hi: float) -> float:
-        """sup of H over the closed interval [lo, hi]."""
-        best = -math.inf
-        for s in events(cfg, lo, hi):
-            best = max(best, H(cfg, s))
-            if s > lo:
-                best = max(best, H_left(cfg, s))
-        return best
-
-    def sup_before(cfg: Configuration, a: float) -> float:
-        """sup of H over [0, a): right values strictly before a, left limit at a."""
-        if a <= 0.0:
-            return -math.inf
-        best = H_left(cfg, a)
-        for s in events(cfg, 0.0, a):
-            if s < a:
-                best = max(best, H(cfg, s))
-            if 0.0 < s < a:
-                best = max(best, H_left(cfg, s))
-        return best
+    def heights(cfg: Configuration, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The event grid of [0, t] with alpha on it, and H = Y + K there: right values, left limits."""
+        inner = np.concatenate([cfg.times, breaks])
+        ev = np.unique(np.concatenate([[0.0, alpha, t], inner[(inner > 0.0) & (inner < t)]]))
+        right, left = (_path(cfg, mean, ev, side)[:, 0] + K(ev, side) for side in ("right", "left"))
+        return ev, right, left
 
     def value(cfg: Configuration) -> np.ndarray:
-        return np.array([sup_closed(cfg, 0.0, t)])
+        ev, right, left = heights(cfg, 0.0)
+        return np.array([np.concatenate([right, left[ev > 0.0]]).max()])
 
     def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
         if alpha > t:
             return np.zeros((1, 1))
-        y = float(np.atleast_1d(x)[0])
-        after = sup_closed(cfg, alpha, t) + y
-        before = sup_before(cfg, alpha)
+        ev, right, left = heights(cfg, alpha)
+        # the added jump lifts H from alpha on (right values there, left limits after it);
+        # H before alpha is the right values before it and the left limits up to it
+        after = np.concatenate([right[ev >= alpha], left[ev > alpha]]).max() + float(np.ravel(x)[0])
+        before = np.concatenate([right[ev < alpha], left[(ev > 0.0) & (ev <= alpha)]]).max(initial=-math.inf)
         return np.array([[1.0 if after >= before else 0.0]])
 
     return Functional(f"sup(t={t})", 1, 1, value, add_derivative)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lentparticle import functionals
 from lentparticle.configuration import (
     Atom,
     Configuration,
@@ -555,6 +556,33 @@ def test_value_marks_rows_are_values_of_the_lent_and_perturbed_configurations(na
     F = build(t)
     assert F.value_marks is not None and F.has_closed_derivative
     _assert_value_marks_rows_are_lent_values(F, model)
+
+
+def test_fd_lent_jacobians_go_in_bounded_blocks_with_the_bits_of_one_call(monkeypatch):
+    """Each value_marks call holds at most _FD_BLOCK_ATOMS mark-set atoms, so memory is linear in n."""
+    model = uniform_model(1.0, rate=300.0, low=-0.3, high=0.8, dim=2)
+    cfg = sample_configuration(model, 45)
+    n = cfg.n_atoms
+    for F in (
+        build_functional("time_integral", model, g="square"),
+        make_stochastic_area(model, 1.0),
+        make_triangular_sde(model, euler_step=0.05),
+    ):
+        shapes = []
+
+        def spy(c, marks):
+            shapes.append(marks.shape)
+            return F.value_marks(c, marks)
+
+        blocked = finite_difference_lent_jacobians(spy, cfg, F.out_dim)
+        assert len(shapes) > 10 and sum(k for k, _, _ in shapes) == 4 * n
+        assert all(k * n_k <= functionals._FD_BLOCK_ATOMS and n_k == n for k, n_k, _ in shapes)
+        with monkeypatch.context() as patch:
+            patch.setattr(functionals, "_FD_BLOCK_ATOMS", 4 * n * n)
+            shapes.clear()
+            one_call = finite_difference_lent_jacobians(spy, cfg, F.out_dim)
+            assert shapes == [(4 * n, n, 2)]
+        assert blocked.tobytes() == one_call.tobytes()
 
 
 @pytest.mark.parametrize("label", sorted(PER_MARK))
