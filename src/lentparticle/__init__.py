@@ -17,9 +17,7 @@ from .configuration import (
     ConfigurationError,
     IntensityModel,
     InvalidModelError,
-    MarkedConfiguration,
     add_particle,
-    attach_marks,
     read_configuration,
     sample_batch,
     sample_configuration,
@@ -59,7 +57,6 @@ from .lent_particle import (
     diag_squares_gamma,
     identity_gamma,
     norm_scaled_gamma,
-    sharp_sample,
     sharp_sample_many,
 )
 from .chaos import (

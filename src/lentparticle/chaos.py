@@ -1,20 +1,15 @@
 """Multiple Poisson integrals, their algebraic identities, and second quantization.
 
-The n-fold compensated integral of the equal-factor kernel u tensor n is
-the factorial-measure inclusion-exclusion
-
-    I_n = sum_k C(n, k) (-nu(u))^(n-k) N^(k)(u tensor k),
-
-where N^(k) sums the product over ordered k-tuples of distinct atoms, that
-is k! times an elementary symmetric polynomial of the u values, which the
-stable descending recurrence evaluates.  Equal-factor kernels reach every
-chaos: by polarization a symmetrized product of n factors is a finite
-signed sum of equal-factor kernels.  The exponential generating series and
-the product formula then hold pathwise and serve as tests, not definitions.
-
-Lending a particle at mark x turns I_n(u tensor n) into I_n + n u(x) I_(n-1)
-(the difference operator D_x I_n = n I_(n-1)), so Gamma[I_i, I_j] is the
-engine's carre_du_champ with that closed derivative.
+Multiple integrals are computed by the lent-particle rule for chaos:
+lending a particle at mark x turns I_n(u tensor n) into I_n + n u(x) I_(n-1)
+(the difference operator D_x I_n = n u(x) I_(n-1)).  On the empty
+configuration I_n = (-nu(u))^n, so lending a configuration's atoms one by
+one builds I_0..I_n on it with one stable update per atom.  Equal-factor
+kernels reach every chaos: by polarization a symmetrized product of n
+factors is a finite signed sum of equal-factor kernels.  The exponential
+generating series and the product formula then hold pathwise and serve as
+tests, not definitions.  The same derivative, read as the closed mark
+derivative, makes Gamma[I_i, I_j] the engine's carre_du_champ.
 
 The shipped bottom semigroup is keep-or-resample: each mark is kept with
 probability exp(-t) or redrawn from the normalized jump measure, and
@@ -45,7 +40,6 @@ from .rng import chunk_ranges, substream
 __all__ = [
     "MarkFunction",
     "ChaosError",
-    "elementary_symmetric",
     "multiple_integral_equal",
     "multiple_integral_functional",
     "multiple_integral_batch",
@@ -96,30 +90,48 @@ class MarkFunction:
 
 
 # ---------------------------------------------------------------------------
-# factorial measures and multiple integrals
+# multiple integrals by lending atoms
 # ---------------------------------------------------------------------------
 
-def elementary_symmetric(values: np.ndarray, kmax: int) -> np.ndarray:
-    """e_0..e_kmax of the values by the stable descending-index recurrence."""
-    e = np.zeros(kmax + 1)
-    e[0] = 1.0
-    top = 0
-    for v in np.asarray(values, dtype=float):
-        top = min(top + 1, kmax)
-        for k in range(top, 0, -1):
-            e[k] += v * e[k - 1]
-    return e
+def _lend_integrals(counts: np.ndarray, offsets: np.ndarray, vals: np.ndarray, nu_u: float, n: int) -> np.ndarray:
+    """I_0..I_n of the equal kernel on every sample of a flat batch, shape (n + 1, nsamples) + vals.shape[1:].
 
-
-def _i_n_from_e(e: np.ndarray, nu_u: float, n: int) -> np.ndarray:
-    """I_n of the equal kernel from e_0..e_n over the last axis.
-
-    The binomial inclusion-exclusion sum_k C(n, k) (-nu(u))^(n-k) k! e_k.
+    Sample i has the kernel values vals[offsets[i]:offsets[i + 1]]; trailing
+    axes of vals are independent copies of it.  Each sample starts empty,
+    where I_k = (-nu(u))^k, and lends its atoms in row order: lending a value
+    v adds k v I_(k-1) to I_k, for k descending.  Samples run longest first,
+    so the samples still lending at slot r are a prefix and every update is a
+    contiguous slice.  One configuration skips that setup and lends in floats.
     """
-    out = np.zeros(e.shape[:-1])
-    for k in range(0, n + 1):
-        out += math.comb(n, k) * (-nu_u) ** (n - k) * math.factorial(k) * e[..., k]
+    if counts.size == 1 and vals.ndim == 1:
+        lent = [(-nu_u) ** k for k in range(n + 1)]
+        slots = ((lent, v) for v in vals[offsets[0]:offsets[1]].tolist())
+        order = None
+    else:
+        lent = np.empty((n + 1, counts.size) + vals.shape[1:])
+        for k in range(n + 1):
+            lent[k] = (-nu_u) ** k
+        top = int(counts.max(initial=0))
+        # a stable sort on the smallest unsigned keys that hold the counts is a radix sort
+        order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
+        first = offsets[order]
+        active = counts.size - np.cumsum(np.bincount(counts))[:top]
+        slots = (([row[:m] for row in lent], vals[first[:m] + r]) for r, m in enumerate(active))
+    # rows: I_0..I_n of the samples still lending (views into the batch, or the floats of one sample)
+    for rows, v in slots:
+        for k in range(n, 0, -1):
+            rows[k] += k * v * rows[k - 1]
+    if order is None:
+        return np.array(lent).reshape((n + 1, 1))
+    out = np.empty_like(lent)
+    out[:, order] = lent
     return out
+
+
+def _config_integrals(cfg: Configuration, u: MarkFunction, nu_u: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """u at the atoms of cfg and I_0..I_n of u's equal kernels on it."""
+    vals = u(cfg.marks) if cfg.n_atoms else np.zeros(0)
+    return vals, _lend_integrals(np.array([cfg.n_atoms]), np.array([0, cfg.n_atoms]), vals, nu_u, n)[:, 0]
 
 
 def multiple_integral_equal(
@@ -129,13 +141,12 @@ def multiple_integral_equal(
     n: int,
     nu_u: float | None = None,
 ) -> float:
-    """I_n of the equal-factor kernel by the binomial inclusion-exclusion."""
+    """I_n of the equal-factor kernel, by lending the atoms of cfg one by one."""
     if n > MAX_DEGREE:
         raise ChaosError(f"degree {n} > {MAX_DEGREE} unsupported")
     if nu_u is None:
         nu_u = model.nu_integrate(u)
-    vals = u(cfg.marks) if cfg.n_atoms else np.zeros(0)
-    return float(_i_n_from_e(elementary_symmetric(vals, n), nu_u, n))
+    return float(_config_integrals(cfg, u, nu_u, n)[1][n])
 
 
 def multiple_integral_functional(
@@ -188,12 +199,11 @@ def exp_series_check(
         raise ChaosError(f"series radius violated: |t| sup|u| = {radius} >= 1/2")
     nu_u = model.nu_integrate(u)
     nu_abs = model.nu_integrate(lambda xs: np.abs(u(xs)))
-    vals = u(cfg.marks) if cfg.n_atoms else np.zeros(0)
+    vals, full = _config_integrals(cfg, u, nu_u, n_max)
     lhs = float(np.prod(1.0 + t * vals)) * math.exp(-t * nu_u)
-    e = elementary_symmetric(vals, n_max)
     rhs = 0.0
     for n in range(0, n_max + 1):
-        rhs += t**n / math.factorial(n) * float(_i_n_from_e(e, nu_u, n))
+        rhs += t**n / math.factorial(n) * float(full[n])
     scale = radius ** (n_max + 1) * math.exp(abs(t) * nu_abs)
     return ExpSeriesResult(residual=abs(lhs - rhs), tail_scale=scale, n_max=n_max)
 
@@ -234,36 +244,10 @@ def product_formula_check(
 # vectorized sampling of chaos statistics
 # ---------------------------------------------------------------------------
 
-def _e_from_power_sums(p: np.ndarray, kmax: int) -> np.ndarray:
-    """Newton identities: e_0..e_kmax from power sums, vectorized over rows."""
-    e = np.zeros(p.shape[:-1] + (kmax + 1,))
-    e[..., 0] = 1.0
-    for k in range(1, kmax + 1):
-        acc = np.zeros(p.shape[:-1])
-        for i in range(1, k + 1):
-            acc += (-1.0) ** (i - 1) * e[..., k - i] * p[..., i - 1]
-        e[..., k] = acc / k
-    return e
-
-
-def _grouped_i_n(index: np.ndarray, vals: np.ndarray, size: int, nu_u: float, n: int) -> np.ndarray:
-    """I_n of the equal kernel per group of atoms, shape (size,).
-
-    index[a] is the group of the atom with kernel value vals[a]; per-group
-    power sums go through the Newton identities to e_k and then to I_n.
-    """
-    p = np.empty((size, n))
-    pk = np.ones_like(vals)
-    for k in range(1, n + 1):
-        pk = pk * vals
-        p[:, k - 1] = np.bincount(index, weights=pk, minlength=size)
-    return _i_n_from_e(_e_from_power_sums(p, n), nu_u, n)
-
-
 def multiple_integral_batch(batch: BatchedConfigurations, u: MarkFunction, nu_u: float, n: int) -> np.ndarray:
     """I_n(u tensor n) on every configuration of the batch, shape (nsamples,); nu_u = nu(u)."""
     vals = u(batch.marks) if batch.times.size else np.zeros(0)
-    return _grouped_i_n(batch.sample_index, vals, batch.nsamples, nu_u, n)
+    return _lend_integrals(batch.counts, batch.offsets, vals, nu_u, n)[n]
 
 
 def orthogonality_mc(
@@ -293,13 +277,6 @@ def orthogonality_mc(
 
 def _gamma_uv(spec: GammaSpec, u: MarkFunction, v: MarkFunction, marks: np.ndarray) -> np.ndarray:
     return np.einsum("ai,aij,aj->a", u.gradient(marks), spec.alpha(marks), v.gradient(marks))
-
-
-def _full_integrals(cfg: Configuration, u: MarkFunction, order: int, nu_u: float) -> tuple[np.ndarray, np.ndarray]:
-    """u at the atoms and I_0..I_order of u's equal kernels on the full configuration."""
-    vals = u(cfg.marks) if cfg.n_atoms else np.zeros(0)
-    e = elementary_symmetric(vals, order)
-    return vals, np.array([_i_n_from_e(e, nu_u, n) for n in range(order + 1)])
 
 
 def chaos_gamma_closed(
@@ -351,8 +328,8 @@ def chaos_gamma_alternating(
         return 0.0
     nu_u = model.nu_integrate(u)
     nu_v = model.nu_integrate(v)
-    uvals, ufull = _full_integrals(cfg, u, i - 1, nu_u)
-    vvals, vfull = _full_integrals(cfg, v, j - 1, nu_v)
+    uvals, ufull = _config_integrals(cfg, u, nu_u, i - 1)
+    vvals, vfull = _config_integrals(cfg, v, nu_v, j - 1)
 
     def s_poly(vals: np.ndarray, full: np.ndarray, deg: int) -> np.ndarray:
         acc = np.zeros(vals.size)
@@ -491,11 +468,9 @@ def second_quantization_check(
         # reference side on the unmoved configurations
         ref = multiple_integral_batch(batch, ptu, nu_ptu, n)
         if total:
-            moved = sg.move(rng, batch.marks, t, n_inner)
-            # one group per (sample, rep)
-            flat_idx = (batch.sample_index[:, None] * n_inner + np.arange(n_inner)[None, :]).ravel()
-            i_in = _grouped_i_n(flat_idx, u(moved.reshape(-1, model.dim)), m * n_inner, nu_u, n)
-            inner_mean = i_in.reshape(m, n_inner).mean(axis=1)
+            # u at the moved marks, one column per rep: the reps lend as n_inner batches at once
+            moved_u = u(sg.move(rng, batch.marks, t, n_inner).reshape(-1, model.dim)).reshape(total, n_inner)
+            inner_mean = _lend_integrals(batch.counts, batch.offsets, moved_u, nu_u, n)[n].mean(axis=1)
         else:
             inner_mean = np.full(m, (-nu_u) ** n)
         diffs[lo:hi] = inner_mean - ref

@@ -494,7 +494,8 @@ EXPERIMENTS: dict[str, dict] = {
             "u": "skew", "v": "square", "nconfigs": 50, "ngamma": 10, "nsamples": 200_000,
             "series_tol": 1e-8, "product_tol": 1e-10, "gamma_tol": 1e-6, "out": "chaos.json",
         },
-        "low": {"nconfigs": 0, "ngamma": 0, "nsamples": 1, "series_tol": 0, "product_tol": 0, "gamma_tol": 0},
+        # nsamples 2: one sample has no standard error, so no orthogonality cell could pass
+        "low": {"nconfigs": 0, "ngamma": 0, "nsamples": 2, "series_tol": 0, "product_tol": 0, "gamma_tol": 0},
         "choices": {"u": KERNELS, "v": KERNELS},
     },
     "density": {

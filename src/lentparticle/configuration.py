@@ -5,8 +5,7 @@ window [0, T]; it is one realization of a Poisson random measure N with
 intensity dt x sigma on [0, T] x R^d, where sigma is a finite (truncated)
 jump measure.  This module hosts the creation/annihilation operators
 (add_particle / remove_index), flat batches of sampled configurations with
-their per-sample sums N(f), auxiliary uniform marks, and a line-oriented
-text serialization.
+their per-sample sums N(f), and a line-oriented text serialization.
 
 All types are immutable after construction and safe to share across
 workers.  Atom equality is exact equality of the stored (time, mark) reals,
@@ -26,7 +25,6 @@ from .rng import substream
 __all__ = [
     "Atom",
     "Configuration",
-    "MarkedConfiguration",
     "IntensityModel",
     "ConfigurationError",
     "InvalidModelError",
@@ -34,7 +32,6 @@ __all__ = [
     "sample_batch",
     "BatchedConfigurations",
     "add_particle",
-    "attach_marks",
     "write_configuration",
     "read_configuration",
     "csv_text",
@@ -46,7 +43,11 @@ class ConfigurationError(ValueError):
 
 
 class InvalidModelError(ValueError):
-    """Raised when an intensity model has a nonpositive horizon or rate."""
+    """Raised when an intensity model has a nonpositive horizon or rate, or one its sampler cannot draw."""
+
+
+# the largest Poisson mean numpy's sampler accepts (its POISSON_LAM_MAX)
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass(frozen=True)
@@ -161,22 +162,6 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class MarkedConfiguration:
-    """A configuration with one auxiliary uniform [0,1) mark per atom."""
-
-    base: Configuration
-    aux_marks: np.ndarray
-
-    def __post_init__(self) -> None:
-        aux = _readonly(np.atleast_1d(self.aux_marks))
-        object.__setattr__(self, "aux_marks", aux)
-        if aux.shape != (self.base.n_atoms,):
-            raise ConfigurationError("one auxiliary mark per atom is required")
-        if aux.size and (aux.min() < 0.0 or aux.max() >= 1.0):
-            raise ConfigurationError("auxiliary marks must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
 class IntensityModel:
     """A finite-activity jump intensity dt x sigma on [0, T] x R^d.
 
@@ -202,6 +187,8 @@ class IntensityModel:
             raise InvalidModelError(f"nonpositive horizon {self.horizon}")
         if not (self.rate > 0.0 and np.isfinite(self.rate)):
             raise InvalidModelError(f"rate must be finite and positive, got {self.rate}")
+        if not self.rate * self.horizon <= _POISSON_MEAN_MAX:
+            raise InvalidModelError(f"rate * horizon = {self.rate * self.horizon} exceeds the Poisson sampler's range")
         if self.dim < 1:
             raise InvalidModelError("mark dimension must be >= 1")
         object.__setattr__(self, "mean", _readonly(np.atleast_1d(self.mean)))
@@ -393,12 +380,6 @@ def remove_index(cfg: Configuration, i: int) -> Configuration:
     times.setflags(write=False)
     marks.setflags(write=False)
     return Configuration._from_arrays_unchecked(cfg.horizon, cfg.dim, times, marks, cfg.intensity_ref)
-
-
-def attach_marks(cfg: Configuration, seed: int) -> MarkedConfiguration:
-    """Attach one uniform [0,1) auxiliary mark per atom, deterministic per seed."""
-    rng = substream(seed)
-    return MarkedConfiguration(cfg, rng.random(cfg.n_atoms))
 
 
 # ---------------------------------------------------------------------------

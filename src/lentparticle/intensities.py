@@ -63,8 +63,8 @@ def uniform_model(
     label: str | None = None,
 ) -> IntensityModel:
     """Marks uniform on the box (low, high)^d, jump measure mass `rate`."""
-    if not (high > low):
-        raise InvalidModelError("uniform family needs high > low")
+    if not (high > low and math.isfinite(high - low)):
+        raise InvalidModelError(f"uniform family needs finite bounds with high > low, got ({low}, {high})")
     if dim not in (1, 2):
         raise InvalidModelError("uniform family ships dim 1 or 2")
     width = high - low

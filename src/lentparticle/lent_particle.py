@@ -26,7 +26,6 @@ import numpy as np
 from .configuration import (
     Configuration,
     IntensityModel,
-    MarkedConfiguration,
     csv_text,
     remove_index,
     sample_configuration,
@@ -45,7 +44,6 @@ __all__ = [
     "CarreDuChamp",
     "EngineError",
     "carre_du_champ",
-    "sharp_sample",
     "sharp_sample_many",
     "chain_rule_check",
     "det_positivity_survey",
@@ -123,9 +121,15 @@ class GammaSpec:
                 raise EngineError(f"{what} at {xs[i]}: alpha = {a[i].tolist()}")
 
 
+def _eye(dim: int) -> np.ndarray:
+    if dim < 1:
+        raise EngineError(f"mark dimension must be >= 1, got {dim}")
+    return np.eye(dim)
+
+
 def diag_squares_gamma(dim: int = 1) -> GammaSpec:
     """alpha(x) = diag(x_i^2): differentiation weighted by the jump size."""
-    eye = np.eye(dim)
+    eye = _eye(dim)
     return GammaSpec(
         label=f"diag_x2(d={dim})",
         dim=dim,
@@ -135,13 +139,14 @@ def diag_squares_gamma(dim: int = 1) -> GammaSpec:
 
 
 def identity_gamma(dim: int = 1) -> GammaSpec:
-    eyes = lambda xs: np.tile(np.eye(dim), (len(xs), 1, 1))
+    eye = _eye(dim)
+    eyes = lambda xs: np.tile(eye, (len(xs), 1, 1))
     return GammaSpec(label=f"identity(d={dim})", dim=dim, alpha=eyes, chol=eyes)
 
 
 def norm_scaled_gamma(dim: int = 2) -> GammaSpec:
     """alpha(x) = |x|^2 I: rotation-invariant weight, vanishing at the origin."""
-    eye = np.eye(dim)
+    eye = _eye(dim)
 
     def squared_norms(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -275,11 +280,6 @@ def _sharp(F: Functional, cfg: Configuration, spec: GammaSpec, aux: np.ndarray, 
     return np.einsum("amk,sak->sm", jacs @ spec.chol(cfg.marks), spec.eta(aux))
 
 
-def sharp_sample(F: Functional, mcfg: MarkedConfiguration, spec: GammaSpec, mode: str = "closed") -> np.ndarray:
-    """One gradient sample: sum_a D_a L(x_a) eta(r_a), shape (m,)."""
-    return _sharp(F, mcfg.base, spec, mcfg.aux_marks[None, :], mode)[0]
-
-
 def sharp_sample_many(
     F: Functional,
     cfg: Configuration,
@@ -324,10 +324,9 @@ def chain_rule_check(
 # determinant survey
 # ---------------------------------------------------------------------------
 
-def _scale_aware_pass(det: float, trace: float, m: int, tol: float) -> bool:
-    if trace <= 0.0:
-        return det > 0.0
-    return det > tol * (trace / m) ** m
+def _scale_aware_pass(det: np.ndarray, trace: np.ndarray, m: int, tol: float) -> np.ndarray:
+    """det > tol (trace / m)^m for m x m matrices, elementwise; det > 0 where the trace is <= 0."""
+    return np.where(trace <= 0.0, det > 0.0, det > tol * (trace / m) ** m)
 
 
 def survey_row(
@@ -350,8 +349,7 @@ def survey_row(
     c = cdc.contributions
     simp = 0.0
     if len(c):
-        dets, traces = np.linalg.det(c).tolist(), np.trace(c, axis1=1, axis2=2).tolist()
-        simp = np.mean([_scale_aware_pass(dt, tr, F.out_dim, tol) for dt, tr in zip(dets, traces)])
+        simp = np.mean(_scale_aware_pass(np.linalg.det(c), np.trace(c, axis1=1, axis2=2), F.out_dim, tol))
     return (i, cfg.n_atoms, cdc.det, cdc.trace, cdc.min_eigenvalue, float(simp))
 
 
@@ -375,8 +373,8 @@ class SurveyResult:
     @property
     def frequency(self) -> float:
         """Fraction of rows with det above the scale-aware threshold."""
-        hits = sum(_scale_aware_pass(r[2], r[3], self.out_dim, self.tol) for r in self.rows)
-        return hits / self.nsamples
+        det, trace = np.array([r[2:4] for r in self.rows]).T
+        return int(np.count_nonzero(_scale_aware_pass(det, trace, self.out_dim, self.tol))) / self.nsamples
 
     def to_csv(self) -> str:
         return csv_text("seed,n_atoms,det,trace,min_eig,simplified_criterion_fraction", self.rows)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from lentparticle.chaos import (
     ResamplingSemigroup,
     chaos_gamma_alternating,
     chaos_gamma_closed,
-    elementary_symmetric,
     exp_series_check,
     mehler_exponential_check,
     multiple_integral_batch,
@@ -24,6 +24,7 @@ from lentparticle.chaos import (
     pt_symmetry_check,
     second_quantization_check,
 )
+from lentparticle.chaos import _lend_integrals
 from lentparticle.configuration import Configuration, remove_index, sample_batch, sample_configuration
 from lentparticle.diagnostics import EstimatorReport
 from lentparticle.functionals import finite_difference_add_derivative, stack_functionals
@@ -40,6 +41,65 @@ SYM = uniform_model(1.0, rate=4.0, low=-1.0, high=1.0, label="sym4")
 EX1 = Configuration(1.0, 1, [0.2, 0.6], [[0.5], [-0.2]], "manual")
 EMPTY = Configuration(1.0, 1, [], [], "manual")
 SPEC = diag_squares_gamma(1)
+
+
+# ---------------------------------------------------------------------------
+# oracles: I_n by inclusion-exclusion over elementary symmetric polynomials,
+# per configuration and per group of a batch through the Newton identities
+# ---------------------------------------------------------------------------
+
+def elementary_symmetric(values, kmax):
+    """e_0..e_kmax of the values by the stable descending-index recurrence."""
+    e = np.zeros(kmax + 1)
+    e[0] = 1.0
+    top = 0
+    for v in np.asarray(values, dtype=float):
+        top = min(top + 1, kmax)
+        for k in range(top, 0, -1):
+            e[k] += v * e[k - 1]
+    return e
+
+
+def _i_n_from_e(e, nu_u, n):
+    """I_n of the equal kernel from e_0..e_n over the last axis: sum_k C(n, k) (-nu(u))^(n-k) k! e_k."""
+    out = np.zeros(e.shape[:-1])
+    for k in range(0, n + 1):
+        out += math.comb(n, k) * (-nu_u) ** (n - k) * math.factorial(k) * e[..., k]
+    return out
+
+
+def _e_from_power_sums(p, kmax):
+    """Newton identities: e_0..e_kmax from power sums, vectorized over rows."""
+    e = np.zeros(p.shape[:-1] + (kmax + 1,))
+    e[..., 0] = 1.0
+    for k in range(1, kmax + 1):
+        acc = np.zeros(p.shape[:-1])
+        for i in range(1, k + 1):
+            acc += (-1.0) ** (i - 1) * e[..., k - i] * p[..., i - 1]
+        e[..., k] = acc / k
+    return e
+
+
+def _grouped_i_n(index, vals, size, nu_u, n):
+    """I_n of the equal kernel per group of atoms from per-group power sums, shape (size,)."""
+    p = np.empty((size, n))
+    pk = np.ones_like(vals)
+    for k in range(1, n + 1):
+        pk = pk * vals
+        p[:, k - 1] = np.bincount(index, weights=pk, minlength=size)
+    return _i_n_from_e(_e_from_power_sums(p, n), nu_u, n)
+
+
+def _exact_integrals(vals, nu_u, n):
+    """I_0..I_n by inclusion-exclusion in exact rationals, and the same sums with every term made positive."""
+    nu = Fraction(nu_u)
+    e, e_abs = [Fraction(1)] + [Fraction(0)] * n, [Fraction(1)] + [Fraction(0)] * n
+    for v in map(Fraction, vals.tolist()):
+        for k in range(n, 0, -1):
+            e[k] += v * e[k - 1]
+            e_abs[k] += abs(v) * e_abs[k - 1]
+    terms = lambda j, x, es: sum(math.comb(j, k) * x ** (j - k) * math.factorial(k) * es[k] for k in range(j + 1))
+    return [terms(j, -nu, e) for j in range(n + 1)], [terms(j, abs(nu), e_abs) for j in range(n + 1)]
 
 
 def _factorial_measure(cfg, u, k):
@@ -276,6 +336,53 @@ class TestBatchIntegrals:
         got = multiple_integral_batch(batch, V_SQ, nu, n)
         want = [multiple_integral_equal(batch.config(i), SYM, V_SQ, n, nu_u=nu) for i in range(200)]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    def test_time_ordered_batch_is_bit_equal_to_each_configuration(self):
+        # a batch in time order lends each sample's atoms as config(i) lends them
+        batch = sample_batch(SYM, 300, seed=13).samples(0, 300)
+        nu = SYM.nu_integrate(V_SQ)
+        for n in range(9):
+            got = multiple_integral_batch(batch, V_SQ, nu, n)
+            want = [multiple_integral_equal(batch.config(i), SYM, V_SQ, n, nu_u=nu) for i in range(300)]
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+    def test_inclusion_exclusion_and_newton_oracles(self, n):
+        model = uniform_model(1.0, rate=6.0, low=-1.0, high=1.0)
+        batch = sample_batch(model, 300, seed=14)
+        nu = model.nu_integrate(V_SQ)
+        per_cfg = [multiple_integral_equal(batch.config(i), model, V_SQ, n, nu_u=nu) for i in range(300)]
+        oracle = [float(_i_n_from_e(elementary_symmetric(V_SQ(batch.config(i).marks), n), nu, n)) for i in range(300)]
+        np.testing.assert_allclose(per_cfg, oracle, rtol=1e-10, atol=1e-10)
+        newton = _grouped_i_n(batch.sample_index, V_SQ(batch.marks), batch.nsamples, nu, n)
+        np.testing.assert_allclose(multiple_integral_batch(batch, V_SQ, nu, n), newton, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("rate", [10.0, 40.0])
+    @pytest.mark.parametrize(
+        "u", [U_ID, MarkFunction(lambda xs: 0.4 * xs[:, 0] + 0.3 * xs[:, 0] ** 2, sup_bound=0.7)]
+    )
+    def test_exact_rational_oracle_to_degree_twelve(self, rate, u):
+        # error against exact I_n, relative to the sum of the absolute terms of I_n (at least 1)
+        model = uniform_model(1.0, rate=rate, low=-1.0, high=1.0)
+        batch = sample_batch(model, 25, seed=5).samples(0, 25)
+        nu = model.nu_integrate(u)
+        whole = np.array([multiple_integral_batch(batch, u, nu, n) for n in range(13)])
+        for i in range(25):
+            exact, scale = _exact_integrals(u(batch.config(i).marks), nu, 12)
+            # a one-sample batch takes the per-configuration path
+            alone = [multiple_integral_batch(batch.samples(i, i + 1), u, nu, n)[0] for n in range(13)]
+            for n in range(13):
+                bound = 1e-12 * max(scale[n], 1)
+                assert abs(Fraction(whole[n, i]) - exact[n]) <= bound, (i, n)
+                assert abs(Fraction(alone[n]) - exact[n]) <= bound, (i, n)
+
+    def test_trailing_axes_lend_as_independent_batches(self):
+        batch = sample_batch(SYM, 50, seed=15)
+        vals = np.stack([U_ID(batch.marks), V_SQ(batch.marks), np.cos(batch.marks[:, 0])], axis=1)
+        both = _lend_integrals(batch.counts, batch.offsets, vals, 0.3, 4)
+        assert both.shape == (5, 50, 3)
+        for j in range(3):
+            np.testing.assert_array_equal(both[:, :, j], _lend_integrals(batch.counts, batch.offsets, vals[:, j], 0.3, 4))
 
 
 class TestOrthogonality:

@@ -360,7 +360,8 @@ class TestExitCodes:
         [
             ("density", "nsamples = 0", "nsamples must be >= 1"),
             ("identity", 'probe = "laplace_zero"\nnsamples = 0', "nsamples must be >= 1"),
-            ("chaos", "nsamples = 0", "nsamples must be >= 1"),
+            ("chaos", "nsamples = 0", "nsamples must be >= 2"),
+            ("chaos", "nsamples = 1", "nsamples must be >= 2"),
             ("rajchman", "k_max = -1", "k_max must be >= 0"),
         ],
     )
@@ -374,6 +375,24 @@ class TestExitCodes:
         assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
         err = capsys.readouterr().err
         assert error in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old,new,error",
+        [
+            ("rate = 2.0", "rate = 1e308", "InvalidModelError): rate * horizon = 1e+308 exceeds the Poisson sampler's range"),
+            ("high = 0.9", "high = inf", "InvalidModelError): uniform family needs finite bounds with high > low"),
+            ("dim = 1", "dim = -2", "EngineError): mark dimension must be >= 1, got -2"),
+        ],
+        ids=["poisson_mean_too_large", "infinite_bound", "negative_gamma_dim"],
+    )
+    def test_values_numpy_rejects_exit_2_without_artifacts(self, tmp_path, capsys, old, new, error):
+        # each once escaped from numpy as a traceback with exit 1
+        path = tmp_path / "numpy.cfg"
+        path.write_text(GAMMA_CFG.replace(old, new))
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert error in captured.err and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from lentparticle.configuration import (
     ConfigurationError,
     InvalidModelError,
     add_particle,
-    attach_marks,
     read_configuration,
     remove_index,
     sample_batch,
@@ -258,24 +257,6 @@ class TestBatchProtocol:
         loo = batch.with_atom(np.full(50, 0.5), np.full((50, 1), 0.25)).leave_one_out()
         owner = np.repeat(np.arange(loo.nsamples), loo.counts)
         assert np.array_equal(loo.time_order, np.lexsort((loo.times, owner)))
-
-
-class TestMarks:
-    def test_empty(self):
-        empty = Configuration(1.0, 1, [], [], "manual")
-        assert attach_marks(empty, seed=1).aux_marks.size == 0
-
-    def test_deterministic(self):
-        m1 = attach_marks(FIXTURE, seed=5)
-        m2 = attach_marks(FIXTURE, seed=5)
-        assert np.array_equal(m1.aux_marks, m2.aux_marks)
-        assert m1.base == FIXTURE
-
-    def test_pooled_uniform_law(self):
-        cfg = cfg_1d([(i / 101.0 + 0.001, 1.0) for i in range(100)])
-        pooled = np.concatenate([attach_marks(cfg, seed=s).aux_marks for s in range(10_000)])
-        se = (1.0 / math.sqrt(12.0)) / math.sqrt(pooled.size)
-        assert abs(pooled.mean() - 0.5) <= 4.0 * se
 
 
 class TestIntegrals:

@@ -9,9 +9,7 @@ from lentparticle import functionals
 from lentparticle.configuration import (
     Atom,
     Configuration,
-    MarkedConfiguration,
     add_particle,
-    attach_marks,
     remove_index,
     sample_configuration,
 )
@@ -41,9 +39,9 @@ from lentparticle.lent_particle import (
     diag_squares_gamma,
     identity_gamma,
     norm_scaled_gamma,
-    sharp_sample,
     sharp_sample_many,
 )
+from lentparticle.lent_particle import _sharp
 from lentparticle.rng import substream
 
 # distinct times in (0, 1] and marks bounded away from 0 and -1
@@ -63,9 +61,8 @@ def _config(atoms) -> Configuration:
     return Configuration(1.0, 1, [a[0] for a in atoms], [[a[1]] for a in atoms], "manual")
 
 
-def _sharp_per_atom(F, mcfg, spec, mode="closed"):
-    """The per-atom gradient-sample loop, kept as the oracle for the batched engine."""
-    cfg = mcfg.base
+def _sharp_per_atom(F, cfg, aux, spec, mode="closed"):
+    """The per-atom gradient-sample loop at auxiliary marks aux (n,), kept as the oracle for the batched engine."""
     out = np.zeros(F.out_dim)
     for i in range(cfg.n_atoms):
         reduced = remove_index(cfg, i)
@@ -74,7 +71,7 @@ def _sharp_per_atom(F, mcfg, spec, mode="closed"):
             jac = finite_difference_add_derivative(F.value, reduced, t_i, x_i, F.out_dim)
         else:
             jac = np.atleast_2d(F.add_derivative(reduced, t_i, x_i))
-        out += jac @ spec.chol(x_i[None])[0] @ spec.eta(mcfg.aux_marks[i])
+        out += jac @ spec.chol(x_i[None])[0] @ spec.eta(aux[i])
     return out
 
 MODEL = uniform_model(1.0, rate=2.0, low=-0.9, high=0.9, label="sym")
@@ -243,41 +240,37 @@ class TestEngineProperties:
 class TestSharpSample:
     def test_empty_configuration(self):
         F = make_doleans(MODEL, 1.0)
-        marked = attach_marks(EMPTY, seed=0)
-        assert sharp_sample(F, marked, SPEC)[0] == 0.0
+        assert sharp_sample_many(F, EMPTY, SPEC, 1, seed=0)[0, 0] == 0.0
 
     def test_basis_zero_crossing(self):
         # eta_1(1/4) = sqrt(2) cos(pi/2) = 0
         F = make_path_eval(MODEL, 1.0)
         one = Configuration(1.0, 1, [0.5], [[0.7]], "manual")
-        from lentparticle.configuration import MarkedConfiguration
-
-        marked = MarkedConfiguration(one, np.array([0.25]))
-        assert sharp_sample(F, marked, SPEC)[0] == pytest.approx(0.0, abs=1e-15)
+        assert _sharp(F, one, SPEC, np.array([[0.25]]), "closed")[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_many_path(self):
         F = make_doleans(MODEL, 1.0)
-        batchless = [
-            sharp_sample(F, attach_marks(EX1, seed=1000 + i), SPEC)[0] for i in range(4)
-        ]
-        assert all(np.isfinite(batchless))
+        rows = [sharp_sample_many(F, EX1, SPEC, 1, seed=1000 + i)[0, 0] for i in range(4)]
+        assert all(np.isfinite(rows))
 
     @pytest.mark.parametrize("mode", ["closed", "fd"])
     def test_matches_per_atom_oracle_d1(self, mode):
         F = make_pair_doleans(MODEL, 1.0)
         for seed in range(10):
-            mcfg = attach_marks(sample_configuration(MODEL, seed), seed=500 + seed)
-            got = sharp_sample(F, mcfg, SPEC, mode=mode)
-            np.testing.assert_allclose(got, _sharp_per_atom(F, mcfg, SPEC, mode), rtol=0, atol=1e-14)
+            cfg = sample_configuration(MODEL, seed)
+            got = sharp_sample_many(F, cfg, SPEC, 3, seed=500 + seed, mode=mode)
+            for row, aux in zip(got, substream(500 + seed).random((3, cfg.n_atoms))):
+                np.testing.assert_allclose(row, _sharp_per_atom(F, cfg, aux, SPEC, mode), rtol=0, atol=1e-14)
 
     def test_matches_per_atom_oracle_d2(self):
         model = uniform_model(1.0, rate=5.0, low=-0.3, high=0.8, dim=2)
         F = make_stochastic_area(model, 1.0)
         spec = diag_squares_gamma(2)
         for seed in range(10):
-            mcfg = attach_marks(sample_configuration(model, seed), seed=600 + seed)
-            got = sharp_sample(F, mcfg, spec)
-            np.testing.assert_allclose(got, _sharp_per_atom(F, mcfg, spec), rtol=0, atol=1e-14)
+            cfg = sample_configuration(model, seed)
+            got = sharp_sample_many(F, cfg, spec, 3, seed=600 + seed)
+            for row, aux in zip(got, substream(600 + seed).random((3, cfg.n_atoms))):
+                np.testing.assert_allclose(row, _sharp_per_atom(F, cfg, aux, spec), rtol=0, atol=1e-14)
 
     def test_many_rows_are_samples_at_their_aux_marks(self):
         F = make_pair_doleans(MODEL, 1.0)
@@ -285,7 +278,9 @@ class TestSharpSample:
         many = sharp_sample_many(F, cfg, SPEC, 5, seed=11)
         aux = substream(11).random((5, cfg.n_atoms))
         for row, r in zip(many, aux):
-            np.testing.assert_array_equal(row, sharp_sample(F, MarkedConfiguration(cfg, r), SPEC))
+            np.testing.assert_array_equal(row, _sharp(F, cfg, SPEC, r[None], "closed")[0])
+        # the same seed draws the same auxiliary marks
+        np.testing.assert_array_equal(many, sharp_sample_many(F, cfg, SPEC, 5, seed=11))
 
     def test_engine_errors_reach_samplers(self):
         F = make_doleans(MODEL, 1.0)
@@ -293,7 +288,7 @@ class TestSharpSample:
         with pytest.raises(EngineError):
             sharp_sample_many(bad, EX1, SPEC, 3, seed=0)
         with pytest.raises(EngineError):
-            sharp_sample(F, attach_marks(EX1, seed=0), SPEC, mode="magic")
+            sharp_sample_many(F, EX1, SPEC, 1, seed=0, mode="magic")
 
     def test_second_moment_converges_to_gamma(self):
         F = make_doleans(MODEL, 1.0)
