@@ -238,7 +238,7 @@ def _write_artifacts(out_dir: str, files: dict, passed: bool, params: dict, conf
             if isinstance(content, str):
                 fh.write(header + content)
             else:
-                json.dump({**content, "provenance": prov, "pass": passed}, fh, sort_keys=True, indent=2)
+                json.dump({**content, "provenance": prov, "pass": bool(passed)}, fh, sort_keys=True, indent=2)
                 fh.write("\n")
 
 
@@ -269,7 +269,9 @@ def _build_from_sections(cfg: dict[str, Section]) -> dict:
             raise RegistryMiss(f"unknown [{section}] {name_key} {name!r}", *sec.pos.get(name_key, ()))
         try:
             built[section] = build(name, params, built.get("model"))
-        except TypeError as exc:
+        except DOMAIN_ERRORS:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigParseError(f"bad [{section}] parameters: {exc}", *sec.at) from exc
     return built
 
@@ -568,7 +570,8 @@ def _experiment_params(sec: Section, seed_flag: int | None) -> tuple[str, dict]:
 
 def cmd_run(args) -> int:
     try:
-        config_text = open(args.config).read()
+        with open(args.config) as fh:
+            config_text = fh.read()
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

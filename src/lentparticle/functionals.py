@@ -9,7 +9,7 @@ it lends a particle at each atom of the configuration, differentiates, and
 takes the particle back before integrating against N.
 
 Closed derivatives are provided where a pathwise formula exists; the SDE
-solver falls back to central finite differences over full re-evaluation.
+has none and is differentiated by central finite differences.
 All paths are the compensated paths of the truncated model: jump sums minus
 the linear compensator drift t * mean.
 
@@ -17,9 +17,10 @@ Two optional hooks evaluate F many times in one call, each with the bits of
 ``value`` on every row: ``value_batch(batch)`` over the samples of a
 ``BatchedConfigurations``, and ``value_marks(cfg, marks)`` at cfg's atom
 times under each of K mark arrays ``(K, n, d)``.  Lending an atom and taking
-it back keeps the atom times, so ``finite_difference_lent_jacobians`` gets
-the fd Jacobians of every lent atom from one ``value_marks`` call.  Three
-functionals ship it, and each ``value`` is its one-row case:
+it back keeps the atom times, so fd Jacobians always come from one stacked
+call on such mark arrays, ``finite_difference_lent_jacobians``: through
+``value_marks`` where F ships it, a fast path, else through ``value`` on each
+row.  Three functionals ship it, and each ``value`` is its one-row case:
 - the jump SDE: its coefficient ``c(s, z, u)`` broadcasts over leading axes
   (``z (..., m)``, ``u (..., d)`` -> ``(..., m)``), so one Euler pass
   advances all K states, and its compensator drift is ``c(s, z, mean)``;
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -144,13 +146,11 @@ def finite_difference_lent_jacobians(
     The 2 d n rows go in blocks of _FD_BLOCK_ATOMS // n, so memory grows as n, not n^2.
     """
     n, d = cfg.n_atoms, cfg.dim
-    if n == 0:
-        return np.empty((0, out_dim, d))
     h = _fd_steps(cfg.marks)
     steps = np.stack([h, -h], axis=-1).ravel()  # row (i, k, +-) in C order
     atom, coord = np.divmod(np.arange(2 * d * n) // 2, d)
     vals = np.empty((2 * d * n, out_dim))
-    block = max(1, _FD_BLOCK_ATOMS // n)
+    block = max(1, _FD_BLOCK_ATOMS // max(n, 1))
     for lo in range(0, 2 * d * n, block):
         rows = np.arange(lo, min(lo + block, 2 * d * n))
         marks = np.broadcast_to(cfg.marks, (rows.size, n, d)).copy()
@@ -163,14 +163,17 @@ def finite_difference_lent_jacobians(
     return ((vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1)
 
 
+def _value_rows(value: Callable[[Configuration], np.ndarray], cfg: Configuration, marks: np.ndarray) -> np.ndarray:
+    """value_marks from value: each mark array at cfg's times is a configuration remove_index + add_particle builds."""
+    lent = (Configuration._from_arrays_unchecked(cfg.horizon, cfg.dim, cfg.times, x, cfg.intensity_ref) for x in marks)
+    return np.array([np.atleast_1d(value(c)) for c in lent], dtype=float)
+
+
 def with_fd_derivative(
     label: str, out_dim: int, mark_dim: int, value, value_batch=None, value_marks=None
 ) -> Functional:
     """Wrap a raw value map (and optional hooks) into a Functional differentiated by finite differences."""
-
-    def add_derivative(cfg: Configuration, t: float, x: np.ndarray) -> np.ndarray:
-        return finite_difference_add_derivative(value, cfg, t, x, out_dim)
-
+    add_derivative = partial(finite_difference_add_derivative, value, out_dim=out_dim)
     return Functional(
         label, out_dim, mark_dim, value, add_derivative,
         has_closed_derivative=False, value_batch=value_batch, value_marks=value_marks,
@@ -189,14 +192,8 @@ def stack_functionals(fs: Sequence[Functional], label: str | None = None) -> Fun
     def add_derivative(cfg: Configuration, t: float, x: np.ndarray) -> np.ndarray:
         return np.vstack([f.add_derivative(cfg, t, x) for f in fs])
 
-    return Functional(
-        label or "+".join(f.label for f in fs),
-        m,
-        fs[0].mark_dim,
-        value,
-        add_derivative,
-        has_closed_derivative=all(f.has_closed_derivative for f in fs),
-    )
+    closed = all(f.has_closed_derivative for f in fs)
+    return Functional(label or "+".join(f.label for f in fs), m, fs[0].mark_dim, value, add_derivative, closed)
 
 
 def compose_functional(
@@ -566,6 +563,8 @@ def make_jump_sde(
     if not (math.isfinite(euler_step) and euler_step > 0.0):
         raise FunctionalError(f"euler step must be finite and positive, got {euler_step}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not np.all(np.isfinite(x0)):
+        raise FunctionalError(f"initial state must be finite, got {x0}")
     m = x0.size
     mean = model.mean
     expected = f"c on a (1, {m}) state and a (1, {model.dim}) mark must broadcast to (1, {m})"
@@ -626,14 +625,7 @@ def make_triangular_sde(
         out[..., 2] = z0u0 + 2.0 * u[..., 1]
         return out
 
-    return make_jump_sde(
-        model,
-        c,
-        np.asarray(z0, dtype=float),
-        t,
-        euler_step=euler_step,
-        label="jump_sde[triangular]",
-    )
+    return make_jump_sde(model, c, np.asarray(z0, dtype=float), t, euler_step=euler_step, label="jump_sde[triangular]")
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +648,8 @@ def _build_time_integral(model: IntensityModel, params: dict) -> Functional:
 
 
 def _build_sup(model: IntensityModel, params: dict) -> Functional:
-    breaks = tuple(params.pop("k_breaks", (0.0,)))
-    values = tuple(params.pop("k_values", (0.0,)))
+    breaks = tuple(map(float, params.pop("k_breaks", (0.0,))))
+    values = tuple(map(float, params.pop("k_values", (0.0,))))
     return make_running_sup(model, K=PiecewiseConstant(breaks, values), **params)
 
 

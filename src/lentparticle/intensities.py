@@ -100,6 +100,8 @@ def gauss_model(
     """Marks i.i.d. centered Gaussian with standard deviation `scale` per coordinate."""
     if dim not in (1, 2):
         raise InvalidModelError("gauss family ships dim 1 or 2")
+    if not (scale > 0.0 and math.isfinite(scale)):  # scale 0 draws only the excluded zero mark
+        raise InvalidModelError(f"gauss family needs a finite scale > 0, got {scale}")
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return scale * rng.standard_normal((n, dim))
@@ -200,10 +202,10 @@ def polar_model(
     if not (0.0 < epsilon < 1.0):
         raise InvalidModelError("polar family needs 0 < epsilon < 1")
     g = np.atleast_1d(np.asarray(g_values, dtype=float))
-    if np.any(g < 0.0) or g.sum() <= 0.0:
-        raise InvalidModelError("angular density must be nonnegative with positive mass")
     k = g.size
     sector = 2.0 * math.pi / k
+    if np.any(g < 0.0) or not 0.0 < sum(g.tolist()) * sector < math.inf:  # Python floats: no overflow warning
+        raise InvalidModelError("angular density must be nonnegative with positive finite mass")
     edges = sector * np.arange(k + 1)
     total_g = float(g.sum() * sector)
     log_inv_eps = math.log(1.0 / epsilon)
@@ -297,8 +299,9 @@ def dyadic_model(
     add/remove support-algebra property checks.  Integration is the exact
     finite sum over atoms.
     """
-    if n_max < n_start or n_start != int(n_start) or n_max != int(n_max):
-        raise InvalidModelError(f"dyadic family needs integers n_max >= n_start, got {n_start}..{n_max}")
+    # on [-1022, 1074] every atom 2^-n is a nonzero float and their sum stays below 2^1023
+    if not (-1022 <= n_start <= n_max <= 1074 and n_start == int(n_start) and n_max == int(n_max)):
+        raise InvalidModelError(f"dyadic family needs integers n_max >= n_start in [-1022, 1074], got {n_start}..{n_max}")
     values = 2.0 ** (-np.arange(n_start, n_max + 1, dtype=float))
     rate = float(values.size)
 

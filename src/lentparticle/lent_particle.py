@@ -1,12 +1,12 @@
 """The lent-particle engine.
 
-The carre-du-champ matrix of a functional F on the Poisson space is
-computed atom by atom: for each atom (t, x) of the configuration, the atom
-is removed (lent back to the intensity), the added-particle Jacobian
-D = dF(cfg_without_atom + atom(t, y))/dy is evaluated at y = x, and the
-atom contributes D alpha(x) D^T, where alpha is the bottom carre du champ
-on marks.  The sum over atoms is the m x m matrix whose a.s. nondegeneracy
-is the standard density diagnostic.
+The carre-du-champ matrix of a functional F on the Poisson space is a sum
+over the atoms (t, x) of the configuration: lend the atom back, take the
+added-particle Jacobian D = dF(cfg_without_atom + atom(t, y))/dy at y = x,
+and add D alpha(x) D^T, where alpha is the bottom carre du champ on marks.
+Its a.s. nondegeneracy is the standard density diagnostic.  Closed mode
+takes each D from the functional's add_derivative, atom by atom; fd mode
+takes all of them from one stacked central-difference call.
 
 The companion gradient sample (the "sharp") realizes the same matrix as a
 conditional second moment: with one auxiliary uniform mark r per atom and
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,8 +31,9 @@ from .configuration import (
     remove_index,
     sample_configuration,
 )
-from .functionals import (
+from .functionals import (  # noqa: F401  finite_difference_add_derivative: named by perfbench/spans.py
     Functional,
+    _value_rows,
     compose_functional,
     finite_difference_add_derivative,
     finite_difference_lent_jacobians,
@@ -223,30 +225,26 @@ class CarreDuChamp:
 
 
 def _atom_jacobians(F: Functional, cfg: Configuration, mode: str) -> np.ndarray:
-    """The lend loop: D at every atom with that atom lent back, shape (n, m, d).
+    """D at every atom with that atom lent back, shape (n, m, d).
 
-    In fd mode a functional with the value_marks hook gets all of them from
-    one stacked call; otherwise each atom is removed and differentiated.
+    Closed mode removes each atom and differentiates.  fd mode, and a
+    functional without a closed derivative, gets them all from one stacked
+    call: through value_marks where F ships it, else through value per row.
     """
     if mode not in ("closed", "fd"):
         raise EngineError(f"unknown mode {mode!r}")
     m, d = F.out_dim, cfg.dim
-    closed = mode == "closed" and F.has_closed_derivative
-    lent = None if closed or F.value_marks is None else finite_difference_lent_jacobians(F.value_marks, cfg, m)
+    if mode == "closed" and F.has_closed_derivative:
+        atoms = enumerate(zip(cfg.times, cfg.marks))
+        jacs = (np.atleast_2d(F.add_derivative(remove_index(cfg, i), float(t), x)) for i, (t, x) in atoms)
+    else:
+        jacs = finite_difference_lent_jacobians(F.value_marks or partial(_value_rows, F.value), cfg, m)
     out = np.empty((cfg.n_atoms, m, d))
-    for i in range(cfg.n_atoms):
-        t_i = float(cfg.times[i])
-        x_i = cfg.marks[i]
-        if lent is not None:
-            jac = lent[i]
-        elif closed:
-            jac = np.atleast_2d(F.add_derivative(remove_index(cfg, i), t_i, x_i))
-        else:
-            jac = finite_difference_add_derivative(F.value, remove_index(cfg, i), t_i, x_i, m)
+    for i, jac in enumerate(jacs):
         if jac.shape != (m, d):
             raise EngineError(f"atom {i}: derivative shape {jac.shape}, expected {(m, d)}")
         if not np.all(np.isfinite(jac)):
-            raise EngineError(f"atom {i} at (t={t_i}, x={x_i}): non-finite derivative {jac}")
+            raise EngineError(f"atom {i} at (t={cfg.times[i]}, x={cfg.marks[i]}): non-finite derivative {jac}")
         out[i] = jac
     return out
 

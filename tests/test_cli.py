@@ -1,18 +1,20 @@
 import ast
+import inspect
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lentparticle.cli import ConfigParseError, main, parse_config
+from lentparticle.cli import EXPERIMENTS, ConfigParseError, main, parse_config
 from lentparticle.configuration import read_configuration
 from lentparticle.diagnostics import KDE_GRID_2D, dyadic_modulus_limit, kde
 from lentparticle.functionals import FUNCTIONAL_BUILDERS, make_pair_doleans
-from lentparticle.intensities import uniform_model
-from lentparticle.lent_particle import det_positivity_survey, diag_squares_gamma
+from lentparticle.intensities import MODEL_FAMILIES, uniform_model
+from lentparticle.lent_particle import GAMMA_BUILDERS, det_positivity_survey, diag_squares_gamma
 
 GAMMA_CFG = """\
 # exponential pair on the pinned two-atom configuration
@@ -493,6 +495,28 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "model,error",
+        [
+            ("family = gauss\nrate = 2.0\nscale = 0", "gauss family needs a finite scale > 0, got 0"),
+            ("family = dyadic\nn_start = 1100\nn_max = 1100", "n_max >= n_start in [-1022, 1074], got 1100..1100"),
+            ("family = dyadic\nn_max = 1e308", "n_max >= n_start in [-1022, 1074], got 0..1e+308"),
+        ],
+        ids=["gauss_zero_scale", "dyadic_atoms_underflow", "dyadic_range_too_large"],
+    )
+    def test_mark_laws_that_cannot_be_sampled_exit_2(self, tmp_path, capsys, model, error):
+        # the first two drew only the excluded zero mark and hung in its redraw; np.arange raised on the third
+        path = tmp_path / "law.cfg"
+        path.write_text(
+            f"[model]\n{model}\nhorizon = 1.0\n\n[functional]\nlabel = path_eval\nt = 1.0\n\n"
+            "[gamma]\nlabel = diag_x2\ndim = 1\n\n[experiment]\nkind = gamma\nseed = 3\n"
+        )
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "InvalidModelError" in captured.err and error in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_count_and_zero_scale_accepted(self, tmp_path, capsys):
         path = tmp_path / "ok.cfg"
         base = "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n[experiment]\nkind = identity\nseed = 1\n"
@@ -647,3 +671,98 @@ def test_readme_library_example_prints_its_commented_values():
         # the comment rounds each entry to its printed decimals
         decimals = max(len(d) for d in re.findall(r"\.(\d+)", comment))
         np.testing.assert_allclose(eval(expr, namespace), ast.literal_eval(comment), rtol=0, atol=0.5 * 10.0**-decimals)
+
+
+# ---------------------------------------------------------------------------
+# the config grammar swept: every key of every registry entry set to malformed values
+# ---------------------------------------------------------------------------
+
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "1e308", "-1e-300", '"x"', "[1]")
+# valid but infeasible: a count or scale of 1e308 runs for ever, and the ecf at u_max = 1e308 overflows exp(i u F)
+SWEEP_INFEASIBLE = {("experiment", key, "1e308") for key in ("nsamples", "nconfigs", "ngamma", "scale", "u_max")}
+# a zero tolerance asks for exact agreement, so the kind's pass rule may fail (exit 1)
+SWEEP_MAY_FAIL = {("experiment", key, "0") for key in ("tolerance", "series_tol", "product_tol", "gamma_tol")}
+SWEEP_MODEL_KEYS = {"uniform": {"rate": "2.0"}, "gauss": {"rate": "2.0"}, "dyadic": {"n_max": "12"}}
+SWEEP_MODEL_DIM = {"polar": 2, "curve": 2}
+SWEEP_FUNCTIONAL_KEYS = {"nearest": {}, "gou": {"x0": "0.5", "t": "1.0"}, "jump_sde": {"t": "1.0", "euler_step": "0.05"}}
+SWEEP_KIND_KEYS = {
+    "gamma": {},
+    "survey": {"nsamples": "3"},
+    "identity": {"probe": '"laplace_zero"', "nsamples": "2"},
+    "chaos": {"nconfigs": "1", "ngamma": "1", "nsamples": "1000"},
+    "density": {"nsamples": "200"},
+    "rajchman": {"k_max": "2"},
+}
+
+
+def _declared_keys(params) -> list[str]:
+    """The keys a registry entry reads: its experiment keys, or its "a, b=1" parameter line ("(...)": none)."""
+    if isinstance(params, dict):
+        return ["seed", *params]
+    return [] if params.startswith("(") else [p.split("=")[0].strip() for p in params.split(",")]
+
+
+def _sweep_sections(family="uniform", functional="path_eval", gamma="diag_x2", kind="gamma") -> dict:
+    """A cheap valid config with the named registry entries, as {section: {key: value text}}."""
+    d = SWEEP_MODEL_DIM.get(family, 2 if functional in ("area", "gou", "jump_sde") else 1)
+    model = {"family": family, "horizon": "1.0", **SWEEP_MODEL_KEYS.get(family, {})}
+    if family == "uniform" and d == 2:
+        model["dim"] = "2"
+    return {
+        "model": model,
+        "functional": {"label": functional, **SWEEP_FUNCTIONAL_KEYS.get(functional, {"t": "1.0"})},
+        "gamma": {"label": gamma} if gamma == "curve" else {"label": gamma, "dim": str(d)},
+        "experiment": {"kind": kind, "seed": "1", **SWEEP_KIND_KEYS[kind]},
+    }
+
+
+def _sweep_cases():
+    """(section, registry entry, key, sections) for every key that every registry entry reads."""
+    # an entry that reads no key is swept on one it does not read
+    for family, entry in MODEL_FAMILIES.items():
+        for key in inspect.signature(entry["builder"]).parameters:
+            yield "model", family, key, _sweep_sections(family=family)
+    for label, entry in FUNCTIONAL_BUILDERS.items():
+        for key in _declared_keys(entry["params"]) or ["t"]:
+            yield "functional", label, key, _sweep_sections(functional=label)
+    for label, entry in GAMMA_BUILDERS.items():
+        for key in _declared_keys(entry["params"]) or ["dim"]:
+            yield "gamma", label, key, _sweep_sections(family="curve" if label == "curve" else "uniform", gamma=label)
+    for kind, entry in EXPERIMENTS.items():
+        for key in _declared_keys(entry["params"]):
+            sections = _sweep_sections(kind=kind)
+            if (kind, key) == ("identity", "scale"):
+                del sections["experiment"]["probe"]  # the 40-check suite, at its floor sample count for scale 0
+            yield "experiment", kind, key, sections
+
+
+SWEEP_CASES = list(_sweep_cases())
+
+
+def test_sweep_covers_every_registry_entry():
+    registries = {"model": MODEL_FAMILIES, "functional": FUNCTIONAL_BUILDERS, "gamma": GAMMA_BUILDERS,
+                  "experiment": EXPERIMENTS}
+    swept = {(section, entry) for section, entry, _, _ in SWEEP_CASES}
+    assert swept == {(section, entry) for section, registry in registries.items() for entry in registry}
+
+
+@pytest.mark.parametrize(
+    "section,entry,key,sections", SWEEP_CASES, ids=[f"{sec}-{entry}-{key}" for sec, entry, key, _ in SWEEP_CASES]
+)
+def test_malformed_values_exit_0_2_or_3_with_at_most_one_line(tmp_path, capsys, section, entry, key, sections):
+    """No value escapes as a traceback or exit 1, and none prints more than one line (warnings included)."""
+    path = tmp_path / "sweep.cfg"
+    for value in SWEEP_VALUES:
+        if (section, key, value) in SWEEP_INFEASIBLE:
+            continue
+        swept = {name: dict(keys) for name, keys in sections.items()}
+        swept[section][key] = value
+        path.write_text("\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                  for name, keys in swept.items()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out-dir", str(tmp_path / "out"), "run", str(path)])
+        err = capsys.readouterr().err
+        allowed = (0, 1, 2, 3) if (section, key, value) in SWEEP_MAY_FAIL else (0, 2, 3)
+        assert code in allowed, (key, value, err)
+        assert err.count("\n") + len(caught) <= 1, (key, value, err, [str(w.message) for w in caught])

@@ -1,11 +1,13 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lentparticle import functionals
+from lentparticle import functionals, lent_particle
+from lentparticle.chaos import MarkFunction, multiple_integral_functional
 from lentparticle.configuration import (
     Atom,
     Configuration,
@@ -43,6 +45,7 @@ from lentparticle.lent_particle import (
 )
 from lentparticle.lent_particle import _sharp
 from lentparticle.rng import substream
+from test_path_functionals import FAMILIES, PAIRS, _build
 
 # distinct times in (0, 1] and marks bounded away from 0 and -1
 ATOMS = st.lists(
@@ -435,7 +438,7 @@ PER_MARK = {
 
 
 def _per_atom_engine(F, cfg, spec_label, mode, nsamples=0, seed=0):
-    """The lend loop with alpha and chol called once per atom: (matrix, contributions, sharp rows)."""
+    """The lend loop with alpha and chol called once per atom: (matrix, contributions, sharp rows, Jacobians)."""
     alpha_one, chol_one = PER_MARK[spec_label]
     jacs = np.empty((cfg.n_atoms, F.out_dim, cfg.dim))
     for i in range(cfg.n_atoms):
@@ -454,7 +457,7 @@ def _per_atom_engine(F, cfg, spec_label, mode, nsamples=0, seed=0):
     chols = np.reshape([chol_one(x) for x in cfg.marks], (cfg.n_atoms, cfg.dim, cfg.dim))
     aux = substream(seed).random((nsamples, cfg.n_atoms))
     sharp = np.einsum("amk,sak->sm", jacs @ chols, _eta_per_function(aux, cfg.dim))
-    return total, contribs, sharp
+    return total, contribs, sharp, jacs
 
 
 D1 = uniform_model(1.0, rate=10.0, low=-0.3, high=0.8, label="oracle_d1")
@@ -484,7 +487,7 @@ def test_array_engine_matches_per_atom_loop_bit_for_bit(name, build, model, spec
     for i in range(nconfigs):
         cfg = sample_configuration(model, 41, i)
         atoms += cfg.n_atoms
-        total, contribs, sharp = _per_atom_engine(F, cfg, spec_label, mode, nsamples=8, seed=i)
+        total, contribs, sharp, _ = _per_atom_engine(F, cfg, spec_label, mode, nsamples=8, seed=i)
         cdc = carre_du_champ(F, cfg, spec, mode=mode)
         assert cdc.matrix.tobytes() == total.tobytes()
         assert cdc.contributions.shape == (cfg.n_atoms, F.out_dim, F.out_dim)
@@ -497,10 +500,12 @@ def test_array_engine_matches_per_atom_loop_bit_for_bit(name, build, model, spec
 def _assert_value_marks_rows_are_lent_values(F, model):
     """Every stacked row is F.value on its lent-and-perturbed configuration, bit for bit.
 
-    Configurations: a sampled one, one with an atom at time 0 (and one after
-    t = 0.5), and the empty one, whose Gamma is zero.
+    The rows are F.value_marks's, or the engine's rows from value where F
+    ships no value_marks.  Configurations: a sampled one, one with an atom
+    at time 0 (and one after t = 0.5), and the empty one, whose Gamma is zero.
     """
     d = model.dim
+    rows_of = F.value_marks or partial(functionals._value_rows, F.value)
     at_zero = Configuration(1.0, d, [0.0, 0.3, 0.7], np.linspace(-0.4, 0.6, 3 * d).reshape(3, d), "manual")
     for cfg in (sample_configuration(model, 41, 3), at_zero):
         n = cfg.n_atoms
@@ -508,12 +513,12 @@ def _assert_value_marks_rows_are_lent_values(F, model):
 
         def value_marks(c, marks):
             stacks.append(marks)
-            return F.value_marks(c, marks)
+            return rows_of(c, marks)
 
         jacs = finite_difference_lent_jacobians(value_marks, cfg, F.out_dim)
         (stack,) = stacks
         assert stack.shape == (2 * d * n, n, d)
-        rows = F.value_marks(cfg, stack)
+        rows = rows_of(cfg, stack)
         for r, (i, k, sign) in enumerate(np.ndindex(n, d, 2)):
             moved = stack[r, i] - cfg.marks[i]
             assert np.count_nonzero(moved) == 1 and (moved[k] > 0) == (sign == 0)
@@ -524,7 +529,7 @@ def _assert_value_marks_rows_are_lent_values(F, model):
             want = finite_difference_add_derivative(F.value, remove_index(cfg, i), float(cfg.times[i]), cfg.marks[i], F.out_dim)
             assert jacs[i].tobytes() == want.tobytes()
     empty = Configuration(1.0, d, [], [], "manual")
-    assert F.value_marks(empty, empty.marks[None]).tobytes() == F.value(empty)[None].tobytes()
+    assert rows_of(empty, empty.marks[None]).tobytes() == np.atleast_1d(F.value(empty))[None].tobytes()
     cdc = carre_du_champ(F, empty, diag_squares_gamma(d), mode="fd")
     assert cdc.matrix.tobytes() == np.zeros((F.out_dim, F.out_dim)).tobytes()
     assert cdc.contributions.shape == (0, F.out_dim, F.out_dim)
@@ -551,6 +556,89 @@ def test_value_marks_rows_are_values_of_the_lent_and_perturbed_configurations(na
     F = build(t)
     assert F.value_marks is not None and F.has_closed_derivative
     _assert_value_marks_rows_are_lent_values(F, model)
+
+
+@pytest.mark.parametrize("label,family", PAIRS, ids=[f"{l}-{f}" for l, f in PAIRS])
+def test_generic_rows_are_values_of_the_lent_and_perturbed_configurations(label, family):
+    _assert_value_marks_rows_are_lent_values(_build(label, family), FAMILIES[family])
+
+
+_KERNEL_U = MarkFunction(lambda xs: xs[:, 0], sup_bound=1.0, grad=lambda xs: np.ones((len(xs), 1)), label="x")
+_KERNEL_V = MarkFunction(lambda xs: xs[:, 0] ** 2, sup_bound=1.0, grad=lambda xs: 2.0 * xs[:, 0:1], label="x^2")
+
+# every registered functional on every compatible family, a stacked I_n pair and a composition
+FD_CASES = [
+    *[(f"{label}-{family}", lambda label=label, family=family: _build(label, family), family) for label, family in PAIRS],
+    *[
+        (
+            f"I2+I3-{family}",
+            lambda family=family: stack_functionals([
+                multiple_integral_functional(FAMILIES[family], _KERNEL_U, 2),
+                multiple_integral_functional(FAMILIES[family], _KERNEL_V, 3),
+            ]),
+            family,
+        )
+        for family in ("uniform_d1", "uniform_d2")
+    ],
+    *[
+        (
+            f"compose-{family}",
+            lambda family=family: compose_functional(
+                lambda y: y[0] * y[1], lambda y: np.array([y[1], y[0]]), make_pair_doleans(FAMILIES[family], 1.0)
+            ),
+            family,
+        )
+        for family in ("uniform_d1", "power")
+    ],
+]
+
+
+def _fd_configurations(model):
+    """Sampled configurations, the empty one, and marks at |x_k| = 1e-5, where the fd step halves."""
+    d = model.dim
+    near_zero = [[1e-5], [-1e-5], [0.3]] if d == 1 else [[1e-5, 0.0], [0.0, -1e-5], [0.2, 1e-5]]
+    return [
+        *(sample_configuration(model, 146, i) for i in range(3)),
+        Configuration(1.0, d, [], [], "manual"),
+        Configuration(1.0, d, [0.1, 0.4, 0.8], near_zero, "manual"),
+    ]
+
+
+@pytest.mark.parametrize("name,build,family", FD_CASES, ids=[c[0] for c in FD_CASES])
+def test_fd_engine_makes_one_stacked_call_and_no_per_atom_lend(monkeypatch, name, build, family):
+    """fd mode lends no atom one at a time: no remove_index, add_particle or per-atom fd Jacobian."""
+    F, model = build(), FAMILIES[family]
+    calls = []
+    for module, attr in (
+        (lent_particle, "remove_index"),
+        (lent_particle, "finite_difference_add_derivative"),
+        (functionals, "add_particle"),
+        (functionals, "finite_difference_add_derivative"),
+    ):
+        monkeypatch.setattr(module, attr, lambda *a, attr=attr: calls.append(attr))
+    stacked = []
+    lend_all = functionals.finite_difference_lent_jacobians
+    monkeypatch.setattr(lent_particle, "finite_difference_lent_jacobians", lambda *a: stacked.append(1) or lend_all(*a))
+    spec, cfgs = diag_squares_gamma(model.dim), _fd_configurations(model)
+    for cfg in cfgs:
+        carre_du_champ(F, cfg, spec, mode="fd")
+        sharp_sample_many(F, cfg, spec, 4, seed=1, mode="fd")
+    assert calls == []
+    assert len(stacked) == 2 * len(cfgs)
+
+
+@pytest.mark.parametrize("name,build,family", FD_CASES, ids=[c[0] for c in FD_CASES])
+def test_fd_engine_matches_per_atom_loop_bit_for_bit(name, build, family):
+    """The one stacked fd call gives the Jacobians, Gamma, contributions and sharp rows of the per-atom loop."""
+    F, model = build(), FAMILIES[family]
+    spec = identity_gamma(model.dim)
+    for i, cfg in enumerate(_fd_configurations(model)):
+        total, contribs, sharp, jacs = _per_atom_engine(F, cfg, "identity", "fd", nsamples=8, seed=i)
+        assert lent_particle._atom_jacobians(F, cfg, "fd").tobytes() == jacs.tobytes()
+        cdc = carre_du_champ(F, cfg, spec, mode="fd")
+        assert cdc.matrix.tobytes() == total.tobytes()
+        assert cdc.contributions.tobytes() == np.array(contribs).reshape(cfg.n_atoms, F.out_dim, F.out_dim).tobytes()
+        assert sharp_sample_many(F, cfg, spec, 8, seed=i, mode="fd").tobytes() == sharp.tobytes()
 
 
 def test_fd_lent_jacobians_go_in_bounded_blocks_with_the_bits_of_one_call(monkeypatch):
