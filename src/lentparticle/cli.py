@@ -340,16 +340,20 @@ def _run_survey(p, functional, sections, jobs, **_):
     return passed, {"out": result.to_csv(), "summary_out": summary}
 
 
+def _report_line(rep) -> str:
+    return f"{'PASS' if rep.passed else 'FAIL'}  z = {rep.z:5.2f}  {rep.name}"
+
+
 def _run_identity(p, model, **_):
     if p["probe"] == "laplace_zero":
         # trivial smoke probe: f = 0 has both sides exactly 1
         rep = laplace_check(model, lambda ts, xs: np.zeros(len(ts)), p["nsamples"], p["seed"])
-        print(f"{'PASS' if rep.passed else 'FAIL'}  {rep.name}")
+        print(_report_line(rep))
         return rep.passed, {"out": {"reports": [rep.to_dict()]}}
     reports = standard_suite(seed=p["seed"], scale=p["scale"])
     frac = suite_pass_fraction(reports)
     for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
+        print(_report_line(r))
     print(f"pass fraction: {frac:.3f} over {len(reports)} checks")
     passed = frac >= p["min_pass_fraction"]
     return passed, {"out": {"reports": [r.to_dict() for r in reports], "pass_fraction": frac}}
@@ -560,6 +564,8 @@ def _experiment_params(sec: Section, seed_flag: int | None) -> tuple[str, dict]:
                 raise ConfigParseError(f"{key} must be >= {low[key]}, got {value}", *at)
             if key in high and value > high[key]:
                 raise ConfigParseError(f"{key} must be <= {high[key]}, got {value}", *at)
+            if key.endswith("out") and (value in ("", ".", "..") or "/" in value or os.sep in value):
+                raise ConfigParseError(f"{key} must be a file name in --out-dir, got {value!r}", *at)
         params[key] = value
     return kind, params
 

@@ -47,7 +47,8 @@ class EstimatorReport:
     """One verified identity: estimate vs reference with its pass rule.
 
     A report passes when |estimate - reference| <= 4 * SE with SE the
-    sample standard deviation over sqrt(nsamples).
+    sample standard deviation over sqrt(nsamples); z is that deviation in
+    units of SE.
     """
 
     name: str
@@ -59,6 +60,13 @@ class EstimatorReport:
     @property
     def deviation(self) -> float:
         return abs(self.estimate - self.reference)
+
+    @property
+    def z(self) -> float:
+        """deviation / SE; at SE = 0, nan for an exact match and inf otherwise."""
+        if self.standard_error == 0.0:
+            return math.nan if self.deviation == 0.0 else math.inf
+        return float(self.deviation / self.standard_error)
 
     @property
     def passed(self) -> bool:
@@ -75,6 +83,7 @@ class EstimatorReport:
             "estimate": enc(self.estimate),
             "reference": enc(self.reference),
             "se": float(self.standard_error),
+            "z": self.z if math.isfinite(self.z) else None,
             "n": int(self.nsamples),
             "rule": "4se",
             "pass": bool(self.passed),

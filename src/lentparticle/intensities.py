@@ -9,8 +9,12 @@ references at the 4-sigma level without sampler bias.
 Quadrature evaluates f on whole node arrays: one adaptive Gauss-Kronrod
 cubature (scipy.integrate.cubature, rule gk21, rtol = atol = 1e-12) over
 the family's box, one per angular sector for polar, with scipy imported on
-first use.  The atomic family integrates by finite sum.  Symmetric families
-set their compensator mean to exactly zero.
+first use.  The gauss family's box is [-c scale, c scale]^d with c = 38.61,
+not R^d: its density exp(-z*z/2) is exactly 0.0 in float64 for |z| past
+38.604, so every node outside the box would add exactly 0.0 (or nan where f
+overflows), and the finite box integrates the same floating-point integrand
+with about a tenth of the nodes.  The atomic family integrates by finite sum.
+Symmetric families set their compensator mean to exactly zero.
 """
 
 from __future__ import annotations
@@ -90,6 +94,10 @@ def uniform_model(
     )
 
 
+# exp(-z*z/2) is exactly 0.0 in float64 for |z| > sqrt(2 * 745.133) = 38.604
+_GAUSS_CUT = 38.61
+
+
 def gauss_model(
     horizon: float,
     rate: float,
@@ -111,7 +119,8 @@ def gauss_model(
         return np.prod(np.exp(-0.5 * (xs / scale) ** 2) / (scale * math.sqrt(2.0 * math.pi)), axis=1)
 
     def sigma_int(f):
-        return rate * _integrate(lambda xs: f(xs) * dens(xs), [-np.inf] * dim, [np.inf] * dim)
+        cut = _GAUSS_CUT * scale
+        return rate * _integrate(lambda xs: f(xs) * dens(xs), [-cut] * dim, [cut] * dim)
 
     return IntensityModel(
         label=label or f"gauss({scale})d{dim}",

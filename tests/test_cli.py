@@ -186,6 +186,34 @@ class TestRun:
         assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
         payload = json.loads((tmp_path / "identity.json").read_text())
         assert payload["pass"] and payload["reports"][0]["pass"]
+        # f = 0: estimate and reference are exactly 1 with SE 0, so z = 0/0 is written as null
+        assert payload["reports"][0]["z"] is None
+        assert "PASS  z =   nan  laplace" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [
+            ("identity", "out", "nodir/x.json"),
+            ("identity", "out", "../x.json"),
+            ("identity", "out", ""),
+            ("identity", "out", "."),
+            ("identity", "out", ".."),
+            ("rajchman", "summary_out", "sub/x.json"),
+        ],
+    )
+    def test_artifact_name_outside_out_dir_exits_2_before_running(self, tmp_path, capsys, kind, key, value):
+        path = tmp_path / "names.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+            f'[experiment]\nkind = {kind}\nseed = 1\n{key} = "{value}"\n'
+            + ('probe = "laplace_zero"\n' if kind == "identity" else "")
+        )
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line 9, column 1: {key} must be a file name in --out-dir, got {value!r}" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists() and not (tmp_path / "x.json").exists()
 
     def test_rajchman_experiment(self, tmp_path, capsys):
         path = tmp_path / "raj.cfg"

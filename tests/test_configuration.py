@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import IntegrationWarning
 
+from lentparticle import intensities
 from lentparticle.configuration import (
     Atom,
     BatchedConfigurations,
@@ -397,11 +398,17 @@ def test_mean_matches_coordinate_quadrature(name):
 # sigma_integrate pinned against the nested scalar quad it replaced: each
 # family at its benchmark defaults plus a symmetric power model and a polar
 # model with an empty sector; the indicator probe runs in dimension 1 only.
+# The gauss values, also at scales 0.3 and 2.5, are cubature over R^d, so
+# they check the finite gauss box against the unbounded integral.
 QUAD_FAMILIES = {
     "uniform_d1": lambda: uniform_model(1.0, rate=3.0),
     "uniform_d2": lambda: uniform_model(1.0, rate=3.0, dim=2),
     "gauss_d1": lambda: gauss_model(1.0, rate=3.0),
     "gauss_d2": lambda: gauss_model(1.0, rate=3.0, dim=2),
+    "gauss_0.3_d1": lambda: gauss_model(1.0, rate=3.0, scale=0.3),
+    "gauss_0.3_d2": lambda: gauss_model(1.0, rate=3.0, scale=0.3, dim=2),
+    "gauss_2.5_d1": lambda: gauss_model(1.0, rate=3.0, scale=2.5),
+    "gauss_2.5_d2": lambda: gauss_model(1.0, rate=3.0, scale=2.5, dim=2),
     "power": lambda: power_model(1.0),
     "power_sym": lambda: power_model(1.0, c=0.3, a=0.5, epsilon=0.05, symmetric=True),
     "polar": lambda: polar_model(1.0),
@@ -446,6 +453,22 @@ QUAD_REFERENCE = {
         0.0, 0.1887976098677897, 0.0, 3.0000000000000013, 2.3936536824085963,
         0.9000000000000005, 1.967038627256396
     ),
+    "gauss_0.3_d1": (
+        4.163463893594793e-17, 0.012125429431459467, -5.082197683525802e-20, 0.2700000000000001,
+        0.7180961047225791, 0.08099999999999996, 2.7819890838729426
+    ),
+    "gauss_0.3_d2": (
+        3.1349668863124495e-17, 0.01749876620458618, -2.0328790734103208e-20, 0.2699999999999998,
+        0.7180961047225792, 0.08100000000000004, 2.7819890838729417
+    ),
+    "gauss_2.5_d1": (
+        8.830826694894434e-17, 0.7354811940329776, -1.0408340855860843e-17, 18.75,
+        5.984134206021491, 5.624999999999998, 1.1228005336708526
+    ),
+    "gauss_2.5_d2": (
+        -1.5620642800084905e-16, 1.0015691678895384, -1.951563910473908e-17, 18.74999999999999,
+        5.984134206021485, 5.625000000000003, 1.1228005336708526
+    ),
     "power": (
         0.5399999999999999, 0.029873755312330223, 0.0017954886694516933, 0.6659999999999999,
         1.7999999999999998, 0.9198000000000001, 17.513171143697694, 1.7304951684997008
@@ -483,6 +506,34 @@ def test_sigma_integrate_matches_pinned_quad_values(family, probe):
         warnings.simplefilter("error")
         val = QUAD_FAMILIES[family]().sigma_integrate(QUAD_PROBES[probe])
     assert abs(val - ref) <= 1e-12 + 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("scale", [0.3, 1.0, 2.5])
+def test_gauss_box_ends_where_the_density_is_zero(monkeypatch, scale, dim):
+    boxes = []
+    monkeypatch.setattr(intensities, "_integrate", lambda fn, lo, hi: boxes.append((fn, lo, hi)) or 0.0)
+    gauss_model(1.0, rate=3.0, scale=scale, dim=dim).sigma_integrate(lambda xs: np.ones(len(xs)))
+    [(fn, lo, hi)] = boxes
+    cut = hi[0]
+    assert lo == [-cut] * dim and hi == [cut] * dim and 0.0 < cut < math.inf
+    # each face of the box: one coordinate at +-cut, the others at the mode
+    faces = np.vstack([cut * np.eye(dim), -cut * np.eye(dim)])
+    assert np.all(fn(faces) == 0.0)
+    assert np.all(fn(np.zeros((1, dim))) > 0.0)
+
+
+def test_gauss_integrand_that_overflows_outside_the_box():
+    """exp(0.1 x) overflows far out on R, where the density is already 0.0: inf * 0 gave nan."""
+    sigma = 2.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = gauss_model(1.0, rate=3.0, scale=sigma).sigma_integrate(
+            lambda xs: np.cos(xs[:, 0] + 0.7) * np.exp(0.1 * xs[:, 0])
+        )
+    ref = 3.0 * (np.exp(0.7j) * np.exp(sigma**2 * (0.1 + 1j) ** 2 / 2.0)).real
+    assert ref == pytest.approx(0.03309148107017027, rel=1e-15)
+    assert val == pytest.approx(ref, rel=1e-12)
 
 
 def test_sigma_integrate_warns_on_a_nan_integrand():

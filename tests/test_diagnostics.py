@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from lentparticle.diagnostics import (
     rajchman_demo,
 )
 from lentparticle.functionals import make_doleans, make_pair_doleans, make_path_eval, with_fd_derivative
-from lentparticle.intensities import dyadic_model, power_model, uniform_model
+from lentparticle.intensities import dyadic_model, gauss_model, power_model, uniform_model
 from lentparticle.rng import substream
 from lentparticle.suite import _exp_neg_integral_functional
 
@@ -36,6 +37,16 @@ class TestEstimatorReport:
         r = EstimatorReport("x", complex(1, 2), complex(1, 2), 0.1, 5)
         d = r.to_dict()
         assert d["estimate"] == {"re": 1.0, "im": 2.0} and d["pass"]
+
+    def test_z_is_deviation_over_se(self):
+        r = EstimatorReport("x", complex(1.3, 0.4), complex(1.0, 0.0), standard_error=0.25, nsamples=10)
+        assert r.z == pytest.approx(2.0, rel=1e-15) and r.to_dict()["z"] == r.z
+
+    @pytest.mark.parametrize("estimate,z", [(1.0, math.nan), (1.5, math.inf)])
+    def test_z_without_standard_error_is_null(self, estimate, z):
+        r = EstimatorReport("x", estimate, 1.0, standard_error=0.0, nsamples=1)
+        np.testing.assert_equal(r.z, z)
+        assert r.to_dict()["z"] is None
 
 
 class TestLaplace:
@@ -63,6 +74,23 @@ class TestLaplace:
         rep_minus = laplace_check(SYM, lambda ts, xs: -f(ts, xs), 20_000, seed=4)
         assert rep_minus.estimate == pytest.approx(np.conj(rep_plus.estimate), abs=1e-12)
         assert rep_minus.reference == pytest.approx(np.conj(rep_plus.reference), abs=1e-12)
+
+
+    def test_gauss_d2_reference_integrals_stay_within_node_budget(self):
+        """The three reference integrals evaluate 69,722 nodes over the gauss box (734,536 over R^2)."""
+        model = gauss_model(1.0, rate=3.0, dim=2)
+        nodes = []
+
+        def counted(f):
+            def g(xs):
+                nodes.append(len(xs))
+                return f(xs)
+
+            return model.sigma_integrate(g)
+
+        probe = lambda ts, xs: 0.3 * xs[:, 0] + 0.2 * xs[:, 1]
+        laplace_check(dataclasses.replace(model, sigma_integrate=counted), probe, 2, seed=0)
+        assert 0 < sum(nodes) < 150_000
 
 
 class TestLemma8:
