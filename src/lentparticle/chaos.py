@@ -13,10 +13,12 @@ derivative, makes Gamma[I_i, I_j] the engine's carre_du_champ.
 
 The shipped bottom semigroup is keep-or-resample: each mark is kept with
 probability exp(-t) or redrawn from the normalized jump measure, and
-ResamplingSemigroup.move is the one draw of that motion.  It is symmetric,
-exactly simulatable, and has the closed form
-p_t u = exp(-t) u + (1 - exp(-t)) mean_sigma(u), so its second quantization
-can be verified without nested approximation error.
+ResamplingSemigroup.move is the one draw of that motion; it draws fresh
+marks only for the slots it resamples.  The motion is symmetric, exactly
+simulatable, and has the closed form p_t u = exp(-t) u + (1 - exp(-t))
+mean_sigma(u), so sigma(p_t u) = sigma(u) and its second quantization can
+be checked without nested approximation error, by one blocked inner Monte
+Carlo of RESAMPLING_REPS motions per block (the Mehler and chaos checks).
 """
 from __future__ import annotations
 
@@ -58,9 +60,8 @@ __all__ = [
 
 MAX_DEGREE = 8
 
-# samples per block of the two batch checks: block k draws from stream (seed, tag, k)
-MEHLER_BLOCK = 20000
-SECOND_QUANTIZATION_BLOCK = 10000
+# motions per block of the resampling checks: a block holds RESAMPLING_REPS // n_inner samples
+RESAMPLING_REPS = 640_000
 
 
 class ChaosError(ValueError):
@@ -361,12 +362,14 @@ class ResamplingSemigroup:
     def move(self, rng: np.random.Generator, marks: np.ndarray, t: float, n_inner: int) -> np.ndarray:
         """n_inner independent motions of the marks (n, d), shape (n, n_inner, d).
 
-        Draws the keep mask (n, n_inner), then n * n_inner fresh marks in row order.
+        Draws the keep mask (n, n_inner), then one fresh mark per resampled slot in row order.
         """
-        n = marks.shape[0]
+        n, d = marks.shape
         keep = rng.random((n, n_inner)) < self.keep_prob(t)
-        fresh = self.model.sample_marks(rng, n * n_inner).reshape(n, n_inner, -1)
-        return np.where(keep[:, :, None], marks[:, None, :], fresh)
+        moved = np.repeat(marks, n_inner, axis=0)
+        resampled = np.flatnonzero(~keep)
+        moved[resampled] = self.model.sample_marks(rng, resampled.size)
+        return moved.reshape(n, n_inner, d)
 
 
 def pt_apply(sg: ResamplingSemigroup, u: MarkFunction, t: float) -> MarkFunction:
@@ -400,6 +403,29 @@ def pt_symmetry_check(
     return _mean_report(f"pt_symmetry[t={t:g}]", diff, 0.0)
 
 
+def _resampled_means(
+    sg: ResamplingSemigroup, u: Callable, ptu: Callable, t: float, nsamples: int, n_inner: int,
+    seed: int, tags: tuple[int, int], stat: Callable[[BatchedConfigurations, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, the mean over n_inner motions of stat(u at the moved marks), and stat(ptu at the marks).
+
+    stat maps per-atom values (total,) or (total, n_inner) to per-sample ones.  Block k holds
+    RESAMPLING_REPS // n_inner samples from (seed, tags[0], k) and moves them by (seed, tags[1], k).
+    A sample without atoms has nothing to move: its mean is its one value, as a mean of equal floats need not be.
+    """
+    if n_inner < 1:
+        raise ChaosError(f"n_inner must be >= 1, got {n_inner}")
+    inner, outer = np.empty(nsamples), np.empty(nsamples)
+    for blk, (lo, hi) in enumerate(chunk_ranges(nsamples, max(1, RESAMPLING_REPS // n_inner))):
+        batch = sample_batch(sg.model, hi - lo, seed, tags[0], blk)
+        outer[lo:hi] = stat(batch, ptu(batch.marks))
+        moved_u = u(sg.move(substream(seed, tags[1], blk), batch.marks, t, n_inner).reshape(-1, sg.model.dim))
+        reps = stat(batch, moved_u.reshape(-1, n_inner))
+        inner[lo:hi] = np.where(batch.counts > 0, reps.mean(axis=1), reps[:, 0])
+        del moved_u, reps  # u at the motions and its statistics are the peak: free them before the next block
+    return inner, outer
+
+
 def mehler_exponential_check(
     sg: ResamplingSemigroup,
     g: MarkFunction,
@@ -413,28 +439,16 @@ def mehler_exponential_check(
 
     Requires -1/2 <= g <= 0 so both sides stay in (0, 1].
     """
-    model = sg.model
     ptg = pt_apply(sg, g, t)
-    lhs = np.empty(nsamples)
-    rhs = np.empty(nsamples)
-    for blk, (lo, hi) in enumerate(chunk_ranges(nsamples, MEHLER_BLOCK)):
-        batch = sample_batch(model, hi - lo, seed, 101, blk)
-        rng = substream(seed, 202, blk)
-        total = batch.times.size
-        gv = g(batch.marks) if total else np.zeros(0)
+
+    def ptg_in_range(marks: np.ndarray) -> np.ndarray:
+        gv = g(marks)
         if np.any(gv < -0.5 - 1e-12) or np.any(gv > 1e-12):
             raise ChaosError("exponential check needs -1/2 <= g <= 0")
-        log_pt = np.log1p(ptg(batch.marks)) if total else np.zeros(0)
-        rhs[lo:hi] = np.exp(batch.sum_per_sample(log_pt))
-        if total:
-            moved = sg.move(rng, batch.marks, t, n_inner)
-            logs = np.log1p(g(moved.reshape(-1, model.dim)).reshape(total, n_inner))
-            # one row per rep: the mean then adds the reps one after another, where a
-            # pairwise mean along each sample's row would round the last bit differently
-            per_rep = np.ascontiguousarray(batch.sum_per_sample(logs).T)
-            lhs[lo:hi] = np.exp(per_rep).mean(axis=0)
-        else:
-            lhs[lo:hi] = 1.0
+        return ptg(marks)
+
+    prod = lambda batch, vals: np.exp(batch.sum_per_sample(np.log1p(vals)))
+    lhs, rhs = _resampled_means(sg, g, ptg_in_range, t, nsamples, n_inner, seed, (101, 202), prod)
     return _paired_report(f"mehler_exponential[t={t:g}]", lhs, rhs)
 
 
@@ -452,26 +466,11 @@ def second_quantization_check(
     Per configuration, the inner-MC mean of I_n(u tensor n) after per-atom
     keep-or-resample motion is compared with I_n((p_t u) tensor n) on the
     unmoved configuration; the paired residual is zero in expectation.
+    Both sides compensate with nu(u): nu(p_t u) = nu(u) exactly.
     """
     if n > 6:
         raise ChaosError("second-quantization check ships for n <= 6")
-    model = sg.model
-    nu_u = model.nu_integrate(u)
-    ptu = pt_apply(sg, u, t)
-    nu_ptu = model.nu_integrate(ptu)
-    diffs = np.empty(nsamples)
-    for blk, (lo, hi) in enumerate(chunk_ranges(nsamples, SECOND_QUANTIZATION_BLOCK)):
-        m = hi - lo
-        batch = sample_batch(model, m, seed, 303, blk)
-        rng = substream(seed, 404, blk)
-        total = batch.times.size
-        # reference side on the unmoved configurations
-        ref = multiple_integral_batch(batch, ptu, nu_ptu, n)
-        if total:
-            # u at the moved marks, one column per rep: the reps lend as n_inner batches at once
-            moved_u = u(sg.move(rng, batch.marks, t, n_inner).reshape(-1, model.dim)).reshape(total, n_inner)
-            inner_mean = _lend_integrals(batch.counts, batch.offsets, moved_u, nu_u, n)[n].mean(axis=1)
-        else:
-            inner_mean = np.full(m, (-nu_u) ** n)
-        diffs[lo:hi] = inner_mean - ref
-    return _mean_report(f"second_quantization[n={n},t={t:g}]", diffs, 0.0)
+    nu_u = sg.model.nu_integrate(u)
+    i_n = lambda batch, vals: _lend_integrals(batch.counts, batch.offsets, vals, nu_u, n)[n]
+    inner, ref = _resampled_means(sg, u, pt_apply(sg, u, t), t, nsamples, n_inner, seed, (303, 404), i_n)
+    return _mean_report(f"second_quantization[n={n},t={t:g}]", inner - ref, 0.0)

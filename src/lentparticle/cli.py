@@ -12,9 +12,10 @@ as decimals with exponent.  Subcommands:
     fixtures        write the pinned example configurations to --out-dir
 
 Artifacts (CSV and JSON) carry a provenance header (config hash, seed,
-version) and are byte-identical for identical (config, seed) at any
-worker count: survey row i is drawn from the stream (seed, i) whichever
-worker computes it, and rows merge in index order.
+package, Python, numpy and scipy versions) and are byte-identical for
+identical (config, seed) at any worker count: survey row i is drawn from
+the stream (seed, i) whichever worker computes it, and rows merge in
+index order.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
@@ -224,15 +226,21 @@ def _write_artifacts(out_dir: str, files: dict, passed: bool, params: dict, conf
     """Write each artifact under the file name its key holds in params.
 
     A CSV body follows a provenance header line; a JSON summary gains the
-    provenance and pass fields.
+    provenance and pass fields.  The scipy version comes from the installed
+    package metadata, so writing it does not import scipy.
     """
+    from importlib.metadata import version
+
     prov = {
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "seed": params["seed"],
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": version("scipy"),
     }
     os.makedirs(out_dir, exist_ok=True)
-    header = f"# config_sha256={prov['config_sha256']} seed={prov['seed']} version={prov['version']}\n"
+    header = "# " + " ".join(f"{key}={value}" for key, value in prov.items()) + "\n"
     for key, content in files.items():
         with open(os.path.join(out_dir, params[key]), "w") as fh:
             if isinstance(content, str):

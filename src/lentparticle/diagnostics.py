@@ -381,11 +381,15 @@ def ecf(
     u_grid: np.ndarray,
     seed: int,
 ) -> EcfCurve:
-    """|phi_hat(u)| over the grid for a scalar functional."""
+    """|phi_hat(u)| over the grid for a scalar functional; a non-finite phase u * F raises FunctionalError."""
     if F.out_dim != 1:
         raise ValueError("characteristic-function diagnostic needs a scalar functional")
     data = batch_values(F, sample_batch(model, nsamples, seed))[:, 0]
     u = np.asarray(u_grid, dtype=float)
+    # the largest |u * F| is the product of the largest factors; Python floats overflow to inf without a warning
+    u_abs, f_abs = float(np.max(np.abs(u), initial=0.0)), float(np.max(np.abs(data), initial=0.0))
+    if not math.isfinite(u_abs * f_abs):
+        raise FunctionalError(f"characteristic-function phase u * F is not finite: max |u| {u_abs:g}, max |F| {f_abs:g}")
     mod = np.empty(u.size)
     for i, ui in enumerate(u):
         mod[i] = abs(np.mean(np.exp(1j * ui * data)))

@@ -53,6 +53,11 @@ def record(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
+def worst_z(zs) -> float:
+    """The largest deviation in SE units; an exact match without spread (z nan) counts as none."""
+    return max((z for z in zs if not math.isnan(z)), default=0.0)
+
+
 @pytest.fixture(scope="module")
 def suite_reports():
     start = time.monotonic()
@@ -140,13 +145,17 @@ def test_criterion_03_gradient_second_moment():
     F = make_doleans(model, 1.0)
     n = 100_000
     hits = 0
+    zs = []
     for k in range(20):
         cfg = sample_configuration(model, seed=SEED + 300 + k)
         gamma = carre_du_champ(F, cfg, SPEC1).matrix[0, 0]
         sq = sharp_sample_many(F, cfg, SPEC1, n, seed=SEED + 400 + k)[:, 0] ** 2
         se = sq.std(ddof=1) / math.sqrt(n) if cfg.n_atoms else 0.0
         hits += abs(sq.mean() - gamma) <= 4.0 * se
-    record("3 gradient second moment", hits >= 19, f"{hits}/20 configurations within 4 SE")
+        if se > 0.0:
+            zs.append(abs(sq.mean() - gamma) / se)
+    record("3 gradient second moment", hits >= 19,
+           f"{hits}/20 configurations within 4 SE, worst z {worst_z(zs):.2f}")
 
 
 def test_criterion_04_chain_rule():
@@ -200,12 +209,14 @@ def test_criterion_06_orthogonality_grid():
     model = uniform_model(1.0, rate=5.0, low=-1.0, high=1.0)
     u = MarkFunction(lambda xs: 0.4 * xs[:, 0] + 0.3 * xs[:, 0] ** 2, sup_bound=0.7)
     v = MarkFunction(lambda xs: 0.6 * xs[:, 0] ** 2, sup_bound=0.6)
-    hits = 0
-    for m in (1, 2, 3):
-        for n in (1, 2, 3):
-            rep = orthogonality_mc(model, u, v, m, n, 1_000_000, seed=SEED + 700 + 3 * m + n)
-            hits += rep.passed
-    record("6 chaos orthogonality 3x3", hits >= 8, f"{hits}/9 cells within 4 SE at 1e6 samples")
+    reps = [
+        orthogonality_mc(model, u, v, m, n, 1_000_000, seed=SEED + 700 + 3 * m + n)
+        for m in (1, 2, 3)
+        for n in (1, 2, 3)
+    ]
+    hits = sum(rep.passed for rep in reps)
+    record("6 chaos orthogonality 3x3", hits >= 8,
+           f"{hits}/9 cells within 4 SE at 1e6 samples, worst z {worst_z(r.z for r in reps):.2f}")
 
 
 def test_criterion_07_chaos_gamma_agreement():
@@ -247,6 +258,7 @@ def test_criterion_08_measure_identities_and_suite(suite_reports):
         "8 measure identities + 40-check suite",
         ok,
         f"named checks {'all pass' if named_ok else 'FAIL'}, fraction {frac:.3f} >= 0.95, "
+        f"worst z {worst_z(r.z for r in reports):.2f}, "
         f"{elapsed:.0f}s <= 300s{'; failing: ' + ', '.join(failing) if failing else ''}",
     )
 
@@ -260,7 +272,8 @@ def test_criterion_09_second_quantization(suite_reports):
     record(
         "9 second quantization",
         ok,
-        f"n in {{1,2}} x t in {{0.2,1.0}} and the exponential intertwining all within 4 SE",
+        f"n in {{1,2}} x t in {{0.2,1.0}} and the exponential intertwining all within 4 SE, "
+        f"worst z {worst_z(r.z for r in sq + mehler):.2f}",
     )
 
 

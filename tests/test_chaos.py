@@ -476,6 +476,51 @@ class TestSemigroup:
         per_atom = kept.mean(axis=1)
         assert np.all(np.abs(per_atom - q) <= 4.0 * math.sqrt(q * (1.0 - q) / 4000))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_move_on_zero_atoms(self, d):
+        sg = ResamplingSemigroup(uniform_model(1.0, rate=4.0, dim=d))
+        assert sg.move(substream(0), np.zeros((0, d)), 0.5, 16).shape == (0, 16, d)
+
+    @pytest.mark.parametrize("t", [0.0, 0.2, 1.0])
+    def test_move_draws_one_fresh_mark_per_resampled_slot(self, t):
+        # the stream rule: the keep mask, then the resampled slots' marks in row order, and nothing else
+        marks = sample_configuration(SYM, 42).marks
+        moving = substream(43)
+        moved = self.SG.move(moving, marks, t, 50)
+        rng = substream(43)
+        resampled = rng.random((marks.shape[0], 50)) >= math.exp(-t)
+        want = np.repeat(marks[:, None, :], 50, axis=1)
+        want[resampled] = SYM.sample_marks(rng, int(resampled.sum()))
+        assert np.array_equal(moved, want)
+        assert np.array_equal(moving.random(4), rng.random(4))
+
+    def test_pt_keeps_sigma(self):
+        # sigma(p_t u) = sigma(u), so both sides of the second-quantization check compensate with nu(u)
+        for t in (0.2, 1.0):
+            assert self.SG.model.sigma_integrate(pt_apply(self.SG, V_SQ, t)) == pytest.approx(
+                self.SG.model.sigma_integrate(V_SQ), rel=1e-13
+            )
+
+    def test_checks_on_a_model_without_atoms(self):
+        # every block is empty: nothing moves and both sides are exact
+        sg = ResamplingSemigroup(uniform_model(1e-3, rate=1e-3))
+        assert sample_batch(sg.model, 200, 12, 303, 0).counts.sum() == 0
+        g = MarkFunction(lambda xs: -0.4 / (1.0 + xs[:, 0] ** 2), sup_bound=0.4)
+        for n in (1, 2):
+            rep = second_quantization_check(sg, U_ID, n, 0.5, 200, 64, seed=12)
+            assert rep.estimate == 0.0 and rep.standard_error == 0.0 and rep.passed
+        rep = mehler_exponential_check(sg, g, 0.5, 200, 32, seed=12)
+        assert rep.estimate == 1.0 and rep.reference == 1.0 and rep.passed
+
+    def test_mehler_rejects_g_out_of_range(self):
+        g = MarkFunction(lambda xs: 0.3 * xs[:, 0], sup_bound=0.3)
+        with pytest.raises(ChaosError, match="-1/2 <= g <= 0"):
+            mehler_exponential_check(self.SG, g, 0.5, 200, 8, seed=13)
+
+    def test_inner_count_below_one_rejected(self):
+        with pytest.raises(ChaosError, match="n_inner"):
+            second_quantization_check(self.SG, U_ID, 1, 0.5, 200, 0, seed=14)
+
 
 def test_sharp_sampling_of_chaos_functional_matches_closed_gamma():
     # three layers at once: finite-difference derivatives of I_2 feed the

@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import math
+import platform
 import re
 import warnings
 from pathlib import Path
@@ -304,6 +305,23 @@ class TestRun:
         assert (tmp_path / "density_ecf.csv").exists()
         first = (tmp_path / "density_kde.csv").read_text().splitlines()[0]
         assert first.startswith("# config_sha256=")
+
+    def test_provenance_names_python_numpy_and_scipy(self, tmp_path):
+        from importlib.metadata import version
+
+        path = tmp_path / "dens.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 5.0\n\n"
+            "[functional]\nlabel = path_eval\nt = 1.0\n\n"
+            "[experiment]\nkind = density\nseed = 3\nnsamples = 300\n"
+        )
+        assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
+        want = {"python": platform.python_version(), "numpy": np.__version__, "scipy": version("scipy")}
+        prov = json.loads((tmp_path / "density.json").read_text())["provenance"]
+        assert {key: prov[key] for key in want} == want
+        header = (tmp_path / "density_ecf.csv").read_text().splitlines()[0]
+        keys = ("config_sha256", "seed", "version", "python", "numpy", "scipy")
+        assert header == "# " + " ".join(f"{key}={prov[key]}" for key in keys)
 
 
 # [functional] keys and mark dimension of each registered functional on criterion 1's uniform models
@@ -706,8 +724,8 @@ def test_readme_library_example_prints_its_commented_values():
 # ---------------------------------------------------------------------------
 
 SWEEP_VALUES = ("0", "-1", "nan", "inf", "1e308", "-1e-300", '"x"', "[1]")
-# valid but infeasible: a count or scale of 1e308 runs for ever, and the ecf at u_max = 1e308 overflows exp(i u F)
-SWEEP_INFEASIBLE = {("experiment", key, "1e308") for key in ("nsamples", "nconfigs", "ngamma", "scale", "u_max")}
+# valid but infeasible: a count or scale of 1e308 runs for ever
+SWEEP_INFEASIBLE = {("experiment", key, "1e308") for key in ("nsamples", "nconfigs", "ngamma", "scale")}
 # a zero tolerance asks for exact agreement, so the kind's pass rule may fail (exit 1)
 SWEEP_MAY_FAIL = {("experiment", key, "0") for key in ("tolerance", "series_tol", "product_tol", "gamma_tol")}
 SWEEP_MODEL_KEYS = {"uniform": {"rate": "2.0"}, "gauss": {"rate": "2.0"}, "dyadic": {"n_max": "12"}}

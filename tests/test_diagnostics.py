@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from lentparticle.diagnostics import (
     marked_moment_check,
     rajchman_demo,
 )
-from lentparticle.functionals import make_doleans, make_pair_doleans, make_path_eval, with_fd_derivative
+from lentparticle.functionals import FunctionalError, make_doleans, make_pair_doleans, make_path_eval, with_fd_derivative
 from lentparticle.intensities import dyadic_model, gauss_model, power_model, uniform_model
 from lentparticle.rng import substream
 from lentparticle.suite import _exp_neg_integral_functional
@@ -292,6 +293,14 @@ class TestEcf:
         model = uniform_model(1.0, rate=3.0)
         with pytest.raises(ValueError):
             ecf(make_pair_doleans(model, 1.0), model, 100, np.array([1.0]), seed=0)
+
+    def test_overflowing_phase_raises_without_warning(self):
+        # u * F overflows at u = 1e308, where exp(i u F) used to write nan moduli
+        model = uniform_model(1.0, rate=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FunctionalError, match="not finite"):
+                ecf(make_path_eval(model, 1.0), model, 200, np.array([0.5, 1e308]), seed=0)
 
     def test_diffuse_model_decays(self):
         model = uniform_model(1.0, rate=20.0, low=-1.0, high=1.0)
