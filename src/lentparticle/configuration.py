@@ -198,11 +198,13 @@ class IntensityModel:
     def sample_marks(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n marks from sigma / rate, shaped (n, dim)."""
         out = np.asarray(self.jump_sampler(rng, n), dtype=float).reshape(n, self.dim)
-        # exact zero marks have probability zero; redraw defensively
-        bad = np.all(out == 0.0, axis=1)
-        while np.any(bad):
-            out[bad] = np.asarray(self.jump_sampler(rng, int(bad.sum())), dtype=float).reshape(-1, self.dim)
+        # exact zero marks have probability zero; redraw defensively (the row
+        # mask is built only when some coordinate is exactly zero)
+        while not out.all():
             bad = np.all(out == 0.0, axis=1)
+            if not bad.any():
+                break
+            out[bad] = np.asarray(self.jump_sampler(rng, int(bad.sum())), dtype=float).reshape(-1, self.dim)
         return out
 
     def nu_integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:

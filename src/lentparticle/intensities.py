@@ -7,18 +7,23 @@ allows it, so Monte Carlo estimates can be compared against quadrature
 references at the 4-sigma level without sampler bias.
 
 Quadrature evaluates f on whole node arrays: one adaptive Gauss-Kronrod
-cubature (scipy.integrate.cubature, rule gk21, rtol = atol = 1e-12) over
-the family's box, one per angular sector for polar, with scipy imported on
-first use.  The gauss family's box is [-c scale, c scale]^d with c = 38.61,
-not R^d: its density exp(-z*z/2) is exactly 0.0 in float64 for |z| past
-38.604, so every node outside the box would add exactly 0.0 (or nan where f
-overflows), and the finite box integrates the same floating-point integrand
-with about a tenth of the nodes.  The atomic family integrates by finite sum.
-Symmetric families set their compensator mean to exactly zero.
+cubature (21-point Kronrod, embedded 10-point Gauss, rtol = atol = 1e-12)
+over the family's finite box, one per angular sector for polar.  It
+returns scipy.integrate.cubature's gk21 result bit for bit but makes one f
+call per subdivision, and it is in the package: scipy is imported only to
+raise IntegrationWarning.  The gauss family's box is [-c scale, c scale]^d
+with c = 38.61, not R^d: its density exp(-z*z/2) is exactly 0.0 in float64
+for |z| past 38.604, so every node outside the box would add exactly 0.0
+(or nan where f overflows), and the finite box integrates the same
+floating-point integrand with about a tenth of the nodes.  The atomic
+family integrates by finite sum.  Symmetric families set their compensator
+mean to exactly zero.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 import warnings
 from typing import Callable, Sequence
@@ -39,19 +44,121 @@ __all__ = [
 ]
 
 
-def _integrate(fn: Callable[[np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float]) -> float:
-    """Integral of fn((k, d) nodes) -> (k,) over the box [lo, hi] (limits may be infinite).
+# QUADPACK's dqk21 (Piessens et al., QUADPACK, 1983): the Kronrod nodes on
+# [-1, 1] from +1 down and their weights, in scipy.integrate.cubature's order
+_KRONROD_HALF = [
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122,
+]
+_KRONROD_WEIGHTS_HALF = [
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849,
+]
+_KRONROD_NODES = np.array(_KRONROD_HALF + [0.0] + [-x for x in reversed(_KRONROD_HALF)])
+_KRONROD_WEIGHTS = np.array(_KRONROD_WEIGHTS_HALF + [0.1494455540029169] + _KRONROD_WEIGHTS_HALF[::-1])
+# The embedded 10-point Gauss rule from -1 up, as scipy.special.roots_legendre(10)
+# gives it in scipy 1.17.1.  Its nodes near +-0.149 and +-0.865 differ from the
+# Kronrod table's in the last bit, so f is evaluated at them too.
+_GAUSS_HALF = [0.14887433898163116, 0.4333953941292472, 0.6794095682990244, 0.8650633666889844, 0.9739065285171717]
+_GAUSS_WEIGHTS_HALF = [0.2955242247147533, 0.26926671930999674, 0.21908636251598224, 0.14945134915058053, 0.06667134430868714]
+_GAUSS_NODES = np.array([-x for x in reversed(_GAUSS_HALF)] + _GAUSS_HALF)
+_GAUSS_WEIGHTS = np.array(_GAUSS_WEIGHTS_HALF[::-1] + _GAUSS_WEIGHTS_HALF)
+_RTOL = _ATOL = 1e-12
+_MAX_SUBDIVISIONS = 10_000
 
-    Warns with scipy's IntegrationWarning when the rule stops short of
-    rtol = atol = 1e-12 or the estimate is not finite.
+
+def _cartesian(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows of the product of 1-d arrays, the last varying fastest."""
+    return np.stack(np.meshgrid(*arrays, indexing="ij"), axis=-1).reshape(-1, len(arrays))
+
+
+@functools.cache
+def _product_rule(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gk21 product rule on [-1, 1]^d: nodes + 1, signed weights, child corner picks.
+
+    Rows 0..21^d - 1 are the Kronrod nodes with their weights, the rest the
+    Gauss nodes with negated weights, so a region's Kronrod estimate sums
+    the first 21^d weighted values and its error estimate sums them all.
     """
-    from scipy.integrate import IntegrationWarning, cubature
+    nodes = np.concatenate([_cartesian([_KRONROD_NODES] * d), _cartesian([_GAUSS_NODES] * d)])
+    weights = np.concatenate([
+        np.prod(_cartesian([_KRONROD_WEIGHTS] * d), axis=-1),
+        -np.prod(_cartesian([_GAUSS_WEIGHTS] * d), axis=-1),
+    ])
+    return nodes + 1, weights, _cartesian([np.array([0, 1])] * d)
 
-    res = cubature(fn, lo, hi, rtol=1e-12, atol=1e-12)
-    est = float(res.estimate)
-    if res.status != "converged" or not math.isfinite(est):
+
+class _Region:
+    """A box on the heap; the one with the largest error pops first."""
+
+    __slots__ = ("est", "err", "a", "b")
+
+    def __init__(self, est: float, err: float, a: np.ndarray, b: np.ndarray):
+        self.est, self.err, self.a, self.b = est, err, a, b
+
+    def __lt__(self, other: "_Region") -> bool:
+        return self.err > other.err
+
+
+def _cubature(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> tuple[float, float, str]:
+    """Estimate, error estimate and status of the integral of fn over [lo, hi].
+
+    What scipy.integrate.cubature(fn, lo, hi, rtol=1e-12, atol=1e-12)
+    returns, bit for bit: the same nodes and sums, the same greedy heap
+    that splits the box of largest error into 2^d halves, the same running
+    totals and the same 10,000-subdivision cap.  Each subdivision makes one
+    fn call on the Kronrod and Gauss nodes of all 2^d children; cubature
+    makes two per child and evaluates the Kronrod nodes twice.
+    """
+    d = lo.size
+    nodes, weights, picks = _product_rule(d)
+    n_kronrod = _KRONROD_NODES.size**d
+
+    def estimates(a: np.ndarray, b: np.ndarray) -> tuple[list, list]:
+        """Kronrod estimates and error estimates on the boxes [a[i], b[i]]."""
+        lengths = b - a
+        x = nodes * (lengths[:, None, :] * 0.5) + a[:, None, :]
+        vals = np.asarray(fn(x.reshape(-1, d))).reshape(len(a), -1)
+        terms = weights * (np.prod(lengths, axis=1) / 2**d)[:, None] * vals
+        return np.sum(terms[:, :n_kronrod], axis=1).tolist(), np.abs(np.sum(terms, axis=1)).tolist()
+
+    [est], [err] = estimates(lo[None], hi[None])
+    regions = [_Region(est, err, lo, hi)]
+    est, err = 0.0 + est, 0.0 + err  # cubature's totals start at 0.0, so -0.0 reads 0.0
+    subdivisions = 0
+    while err > _ATOL + _RTOL * abs(est):
+        region = heapq.heappop(regions)
+        est -= region.est
+        err -= region.err
+        ends = np.stack([region.a, (region.a + region.b) / 2, region.b])
+        a, b = np.take_along_axis(ends, picks, 0), np.take_along_axis(ends, picks + 1, 0)
+        for child in zip(*estimates(a, b), a, b):
+            est += child[0]
+            err += child[1]
+            heapq.heappush(regions, _Region(*child))
+        subdivisions += 1
+        if subdivisions >= _MAX_SUBDIVISIONS:
+            return est, err, "not_converged"
+    return est, err, "converged"
+
+
+def _integrate(fn: Callable[[np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float]) -> float:
+    """Integral of fn((k, d) nodes) -> (k,) over the finite box [lo, hi], lo <= hi.
+
+    Adaptive product Gauss-Kronrod (21-point Kronrod, embedded 10-point
+    Gauss) to rtol = atol = 1e-12, equal bit for bit to scipy's cubature
+    with rule gk21.  Warns with scipy's IntegrationWarning, importing scipy
+    only then, when the rule stops short of the tolerance or the estimate
+    is not finite.
+    """
+    est, err, status = _cubature(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if status != "converged" or not math.isfinite(est):
+        from scipy.integrate import IntegrationWarning
+
         warnings.warn(
-            f"cubature {res.status} with estimate {est!r}, error estimate {float(res.error):.3g}",
+            f"cubature {status} with estimate {est!r}, error estimate {err:.3g}",
             IntegrationWarning,
             stacklevel=3,
         )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.integrate import IntegrationWarning
+from scipy.integrate import IntegrationWarning, cubature
 
 from lentparticle import intensities
 from lentparticle.configuration import (
@@ -14,6 +14,7 @@ from lentparticle.configuration import (
     BatchedConfigurations,
     Configuration,
     ConfigurationError,
+    IntensityModel,
     InvalidModelError,
     add_particle,
     read_configuration,
@@ -510,11 +511,8 @@ def test_sigma_integrate_matches_pinned_quad_values(family, probe):
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("scale", [0.3, 1.0, 2.5])
-def test_gauss_box_ends_where_the_density_is_zero(monkeypatch, scale, dim):
-    boxes = []
-    monkeypatch.setattr(intensities, "_integrate", lambda fn, lo, hi: boxes.append((fn, lo, hi)) or 0.0)
-    gauss_model(1.0, rate=3.0, scale=scale, dim=dim).sigma_integrate(lambda xs: np.ones(len(xs)))
-    [(fn, lo, hi)] = boxes
+def test_gauss_box_ends_where_the_density_is_zero(scale, dim):
+    [(fn, lo, hi)] = _boxes(gauss_model(1.0, rate=3.0, scale=scale, dim=dim), lambda xs: np.ones(len(xs)))
     cut = hi[0]
     assert lo == [-cut] * dim and hi == [cut] * dim and 0.0 < cut < math.inf
     # each face of the box: one coordinate at +-cut, the others at the mode
@@ -541,6 +539,73 @@ def test_sigma_integrate_warns_on_a_nan_integrand():
     with pytest.warns(IntegrationWarning, match="estimate nan"):
         val = model.sigma_integrate(lambda xs: np.full(len(xs), np.nan))
     assert math.isnan(val)
+
+
+def _boxes(model, f):
+    """The (fn, lo, hi) of every _integrate call model.sigma_integrate(f) makes."""
+    boxes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intensities, "_integrate", lambda fn, lo, hi: boxes.append((fn, lo, hi)) or 0.0)
+        model.sigma_integrate(f)
+    return boxes
+
+
+def _assert_cubature_bits(boxes, cap=10_000):
+    """intensities._cubature returns scipy's cubature estimate, error and status bit for bit."""
+    assert boxes
+    for fn, lo, hi in boxes:
+        res = cubature(fn, lo, hi, rtol=1e-12, atol=1e-12, max_subdivisions=cap)
+        est, err, status = intensities._cubature(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        assert np.float64(est).tobytes() == np.float64(res.estimate).tobytes(), (est, float(res.estimate))
+        assert np.float64(err).tobytes() == np.float64(res.error).tobytes(), (err, float(res.error))
+        assert status == res.status
+
+
+# every quadrature family (dyadic sums its atoms) x every probe; a 2-d
+# indicator jumps along a line and would exhaust 10,000 subdivisions, so
+# those pairs run both sides capped at 60 and end not converged
+@pytest.mark.parametrize("family", [f for f in QUAD_FAMILIES if f != "dyadic"])
+@pytest.mark.parametrize("probe", list(QUAD_PROBES))
+def test_integrate_is_scipy_cubature_bit_for_bit(monkeypatch, family, probe):
+    model = QUAD_FAMILIES[family]()
+    cap = 10_000 if probe != "indicator" or model.dim == 1 else 60
+    monkeypatch.setattr(intensities, "_MAX_SUBDIVISIONS", cap)
+    _assert_cubature_bits(_boxes(model, QUAD_PROBES[probe]), cap)
+
+
+def test_integrate_is_scipy_cubature_on_overflow_and_nan_integrands():
+    gauss = gauss_model(1.0, rate=3.0, scale=2.5)
+    _assert_cubature_bits(_boxes(gauss, lambda xs: np.cos(xs[:, 0] + 0.7) * np.exp(0.1 * xs[:, 0])))
+    _assert_cubature_bits(_boxes(uniform_model(1.0, rate=1.0), lambda xs: np.full(len(xs), np.nan)))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7])
+@pytest.mark.parametrize("family", ["uniform_d1", "gauss_d2", "polar"])
+def test_integrate_not_converged_is_scipy_cubature(monkeypatch, family, cap):
+    monkeypatch.setattr(intensities, "_MAX_SUBDIVISIONS", cap)
+    boxes = _boxes(QUAD_FAMILIES[family](), QUAD_PROBES["indicator"])
+    _assert_cubature_bits(boxes, cap)
+    fn, lo, hi = boxes[0]
+    with pytest.warns(IntegrationWarning, match="not_converged"):
+        intensities._integrate(fn, lo, hi)
+
+
+def test_sample_marks_redraws_only_all_zero_rows():
+    """Rows with some zero coordinates stay; all-zero rows are redrawn, one draw per bad row."""
+
+    def coin_marks(rng, n):
+        return rng.integers(0, 2, size=(n, 2)).astype(float)
+
+    model = IntensityModel("coins", "test", 1.0, 2, 1.0, coin_marks, lambda f: 0.0, np.zeros(2))
+    out = model.sample_marks(substream(7), 400)
+    rng = substream(7)
+    want = coin_marks(rng, 400)
+    bad = np.all(want == 0.0, axis=1)
+    while bad.any():
+        want[bad] = coin_marks(rng, int(bad.sum()))
+        bad = np.all(want == 0.0, axis=1)
+    assert np.array_equal(out, want)
+    assert np.any(out == 0.0) and not np.any(np.all(out == 0.0, axis=1))
 
 
 def test_dyadic_flagged_non_diffuse():

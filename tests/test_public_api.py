@@ -1,6 +1,7 @@
 """Every name a module exports in __all__ resolves, so `from module import *` works.
 
-Importing the package stays light: scipy.integrate loads on the first quadrature.
+Importing the package stays light, and so does quadrature: scipy loads only
+when a quadrature warns.
 """
 
 import importlib
@@ -35,9 +36,25 @@ def test_every_all_entry_resolves(module):
     assert set(mod.__all__) <= set(namespace)
 
 
-def test_import_does_not_load_scipy_integrate():
+def _fresh(code: str) -> str:
+    """stdout of code run in a new interpreter that imports the package from this checkout."""
     src = str(Path(lentparticle.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, lentparticle; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_integrate():
+    assert _fresh("import sys, lentparticle; print('scipy.integrate' in sys.modules)") == "False"
+
+
+def test_quadrature_does_not_load_scipy():
+    code = (
+        "import sys\n"
+        "from lentparticle import diagnostics, intensities\n"
+        "model = intensities.gauss_model(1.0, rate=3.0, dim=2)\n"
+        "model.sigma_integrate(lambda xs: xs[:, 0] ** 2)\n"
+        "diagnostics.laplace_check(model, lambda t, x: 0.3 * x[:, 0] + 0.2 * x[:, 1], 1000, 5)\n"
+        "print('scipy' in sys.modules)"
+    )
+    assert _fresh(code) == "False"
