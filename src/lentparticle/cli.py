@@ -47,7 +47,7 @@ from .configuration import (
     sample_configuration,
     write_configuration,
 )
-from .diagnostics import ecf, kde, laplace_check, rajchman_demo
+from .diagnostics import ecf, kde, rajchman_demo
 from .functionals import FUNCTIONAL_BUILDERS, FunctionalError, build_functional, stack_functionals
 from .intensities import MODEL_FAMILIES, build_model, dyadic_model
 from .lent_particle import (
@@ -334,10 +334,8 @@ def _survey_chunk(args):
 def _run_survey(p, functional, sections, jobs, **_):
     tol = p["tolerance"]
     tasks = [(sections, p["seed"], tol, lo, hi) for lo, hi in chunk_ranges(p["nsamples"], SURVEY_CHUNK)]
-    rows = [row for part in parallel_map(_survey_chunk, tasks, jobs) for row in part]
-    result = SurveyResult(
-        functional=functional.label, out_dim=functional.out_dim, tol=tol, rows=tuple(rows)
-    )
+    scored = [item for part in parallel_map(_survey_chunk, tasks, jobs) for item in part]
+    result = SurveyResult.collect(functional.label, scored)
     threshold = p["min_frequency"]
     passed = result.frequency >= threshold
     print(
@@ -352,12 +350,7 @@ def _report_line(rep) -> str:
     return f"{'PASS' if rep.passed else 'FAIL'}  z = {rep.z:5.2f}  {rep.name}"
 
 
-def _run_identity(p, model, **_):
-    if p["probe"] == "laplace_zero":
-        # trivial smoke probe: f = 0 has both sides exactly 1
-        rep = laplace_check(model, lambda ts, xs: np.zeros(len(ts)), p["nsamples"], p["seed"])
-        print(_report_line(rep))
-        return rep.passed, {"out": {"reports": [rep.to_dict()]}}
+def _run_identity(p, **_):
     reports = standard_suite(seed=p["seed"], scale=p["scale"])
     frac = suite_pass_fraction(reports)
     for r in reports:
@@ -374,7 +367,7 @@ def _run_chaos(p, model, **_):
     series_worst = 0.0
     product_worst = 0.0
     for i in range(p["nconfigs"]):
-        configuration = sample_configuration(model, seed=seed + i)
+        configuration = sample_configuration(model, seed, 0, i)
         series_worst = max(
             series_worst, exp_series_check(configuration, model, u, t=0.12, n_max=12).residual
         )
@@ -386,7 +379,7 @@ def _run_chaos(p, model, **_):
     fv = {d: multiple_integral_functional(model, v, d) for d in (1, 2)}
     pairs = [stack_functionals([fu[deg_i], fv[deg_j]]) for deg_i in (1, 2) for deg_j in (1, 2)]
     for i in range(p["ngamma"]):
-        configuration = sample_configuration(model, seed=seed + 1000 + i)
+        configuration = sample_configuration(model, seed, 1, i)
         for pair in pairs:
             closed = carre_du_champ(pair, configuration, spec, mode="closed").matrix[0, 1]
             fd = carre_du_champ(pair, configuration, spec, mode="fd").matrix[0, 1]
@@ -492,15 +485,10 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "identity": {
         "run": _run_identity,
-        # probe None: the 40-check suite; nsamples is the probe's
-        "params": {
-            "probe": None, "nsamples": 1000, "scale": 1.0, "min_pass_fraction": 0.95,
-            "out": "identity.json",
-        },
+        "params": {"scale": 1.0, "min_pass_fraction": 0.95, "out": "identity.json"},
         # scale 0: the floor sample count of every check
-        "low": {"nsamples": 1, "scale": 0, "min_pass_fraction": 0},
+        "low": {"scale": 0, "min_pass_fraction": 0},
         "high": {"min_pass_fraction": 1},
-        "choices": {"probe": ("laplace_zero",)},
     },
     "chaos": {
         "run": _run_chaos,

@@ -217,17 +217,14 @@ class IntensityModel:
 # ---------------------------------------------------------------------------
 
 def sample_configuration(model: IntensityModel, seed: int, *path: int) -> Configuration:
-    """Draw one configuration from the stream (seed, *path).
+    """Draw one configuration from the stream (seed, *path): sample_batch's one-sample case.
 
-    Poisson(rate*T) atoms, uniform times, sigma marks.
+    The sampler keeps times in [0, T] and marks nonzero; what it cannot promise is checked here.
     """
-    rng = substream(seed, *path)
-    n = int(rng.poisson(model.rate * model.horizon))
-    times = np.sort(rng.uniform(0.0, model.horizon, size=n))
-    while n > 1 and np.any(np.diff(times) <= 0.0):  # ties have probability ~0
-        times = np.sort(rng.uniform(0.0, model.horizon, size=n))
-    marks = model.sample_marks(rng, n)
-    return Configuration(model.horizon, model.dim, times, marks, intensity_ref=model.label)
+    cfg = sample_batch(model, 1, seed, *path).config(0)
+    if not np.isfinite(cfg.marks).all() or (np.diff(cfg.times) <= 0.0).any():
+        raise ConfigurationError(f"stream {(seed, *path)} drew a non-finite mark or two equal times")
+    return cfg
 
 
 @dataclass(frozen=True)

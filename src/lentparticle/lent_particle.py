@@ -264,11 +264,15 @@ def carre_du_champ(
         raise EngineError(
             f"dimension mismatch: cfg d={cfg.dim}, spec d={spec.dim}, functional d={F.mark_dim}"
         )
-    jacs = _atom_jacobians(F, cfg, mode)
-    contribs = jacs @ spec.alpha(cfg.marks) @ _transpose(jacs)
-    contribs = 0.5 * (contribs + _transpose(contribs))
-    # summed in atom order, as the lend loop visits the atoms
-    total = sum(contribs, np.zeros((F.out_dim, F.out_dim)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        jacs = _atom_jacobians(F, cfg, mode)
+        contribs = jacs @ spec.alpha(cfg.marks) @ _transpose(jacs)
+        contribs = 0.5 * (contribs + _transpose(contribs))
+        # summed in atom order, as the lend loop visits the atoms
+        total = sum(contribs, np.zeros((F.out_dim, F.out_dim)))
+        if not np.isfinite(total).all():
+            i = int(np.argmin(np.isfinite(np.cumsum(contribs, axis=0)).all(axis=(1, 2))))
+            raise EngineError(f"atom {i} at (t={cfg.times[i]}, x={cfg.marks[i]}): the carre du champ turns non-finite")
     return CarreDuChamp(matrix=total, contributions=contribs)
 
 
@@ -322,9 +326,13 @@ def chain_rule_check(
 # determinant survey
 # ---------------------------------------------------------------------------
 
-def _scale_aware_pass(det: np.ndarray, trace: np.ndarray, m: int, tol: float) -> np.ndarray:
-    """det > tol (trace / m)^m for m x m matrices, elementwise; det > 0 where the trace is <= 0."""
-    return np.where(trace <= 0.0, det > 0.0, det > tol * (trace / m) ** m)
+def _nondegenerate(mats: np.ndarray, tol: float) -> np.ndarray:
+    """det M > tol prod_k M_kk for each PSD matrix M of a (..., m, m) stack; a zero M_kk fails.
+
+    The ratio is det of M's correlation matrix: in [0, 1] (Hadamard), blind to the scale of F's coordinates.
+    """
+    diag_prod = np.prod(np.diagonal(mats, axis1=-2, axis2=-1), axis=-1)
+    return (diag_prod > 0.0) & (np.linalg.det(mats) > tol * diag_prod)
 
 
 def survey_row(
@@ -335,34 +343,36 @@ def survey_row(
     i: int,
     tol: float,
     mode: str = "closed",
-) -> tuple:
-    """Survey row of the configuration drawn from stream (seed, i).
+) -> tuple[tuple, bool]:
+    """Survey row of the configuration drawn from stream (seed, i), and whether its matrix is nondegenerate.
 
-    (i, n_atoms, det, trace, min_eig, simplified_fraction), where the last
-    entry is the fraction of atoms whose single contribution already passes
-    the scale-aware rule.
+    The row is (i, n_atoms, det, trace, min_eig, simplified_fraction), where
+    the last entry is the fraction of atoms whose single contribution
+    already is nondegenerate; both verdicts are _nondegenerate's.
     """
     cfg = sample_configuration(model, seed, i)
     cdc = carre_du_champ(F, cfg, spec, mode=mode)
-    c = cdc.contributions
-    simp = 0.0
-    if len(c):
-        simp = np.mean(_scale_aware_pass(np.linalg.det(c), np.trace(c, axis1=1, axis2=2), F.out_dim, tol))
-    return (i, cfg.n_atoms, cdc.det, cdc.trace, cdc.min_eigenvalue, float(simp))
+    ok = _nondegenerate(np.concatenate((cdc.matrix[None], cdc.contributions)), tol)
+    simp = float(np.mean(ok[1:])) if cfg.n_atoms else 0.0
+    return (i, cfg.n_atoms, cdc.det, cdc.trace, cdc.min_eigenvalue, simp), bool(ok[0])
 
 
 @dataclass(frozen=True)
 class SurveyResult:
-    """Nondegeneracy survey over sampled configurations, built from survey rows."""
+    """Nondegeneracy survey over sampled configurations: its rows and each row's verdict."""
 
     functional: str
-    out_dim: int
-    tol: float
     rows: tuple[tuple, ...]  # (global index i, n_atoms, det, trace, min_eig, simplified_fraction)
+    passed: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         if not self.rows:
             raise EngineError("nsamples must be >= 1")
+
+    @classmethod
+    def collect(cls, functional: str, scored: Sequence[tuple[tuple, bool]]) -> "SurveyResult":
+        """The result of survey_row outputs, in row order."""
+        return cls(functional, tuple(row for row, _ in scored), tuple(ok for _, ok in scored))
 
     @property
     def nsamples(self) -> int:
@@ -370,9 +380,8 @@ class SurveyResult:
 
     @property
     def frequency(self) -> float:
-        """Fraction of rows with det above the scale-aware threshold."""
-        det, trace = np.array([r[2:4] for r in self.rows]).T
-        return int(np.count_nonzero(_scale_aware_pass(det, trace, self.out_dim, self.tol))) / self.nsamples
+        """Fraction of rows whose matrix is nondegenerate."""
+        return sum(self.passed) / self.nsamples
 
     def to_csv(self) -> str:
         return csv_text("seed,n_atoms,det,trace,min_eig,simplified_criterion_fraction", self.rows)
@@ -390,10 +399,10 @@ def det_positivity_survey(
     """Estimate how often the carre-du-champ matrix is nondegenerate.
 
     Reports, per sampled configuration, det/trace/min eigenvalue of the
-    matrix plus the fraction of atoms whose single contribution already has
-    positive determinant (the stronger per-atom sufficient condition, which
-    can only hold when the functional dimension does not exceed the mark
-    dimension).  Row i is drawn from stream (seed, i).
+    matrix plus the fraction of atoms whose single contribution already is
+    nondegenerate (the stronger per-atom sufficient condition, which can
+    only hold when the functional dimension does not exceed the mark
+    dimension).  A matrix M is nondegenerate when det M > tol prod_k M_kk.
+    Row i is drawn from stream (seed, i).
     """
-    rows = tuple(survey_row(F, model, spec, seed, i, tol, mode) for i in range(nsamples))
-    return SurveyResult(functional=F.label, out_dim=F.out_dim, tol=tol, rows=rows)
+    return SurveyResult.collect(F.label, [survey_row(F, model, spec, seed, i, tol, mode) for i in range(nsamples)])

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lentparticle import cli
 from lentparticle.cli import EXPERIMENTS, ConfigParseError, main, parse_config
-from lentparticle.configuration import read_configuration
+from lentparticle.configuration import read_configuration, sample_configuration
 from lentparticle.diagnostics import KDE_GRID_2D, dyadic_modulus_limit, kde
 from lentparticle.functionals import FUNCTIONAL_BUILDERS, make_pair_doleans
 from lentparticle.intensities import MODEL_FAMILIES, uniform_model
@@ -178,18 +179,18 @@ class TestRun:
         payload = json.loads((tmp_path / "gamma.json").read_text())
         assert payload["provenance"]["seed"] == 99
 
-    def test_identity_trivial_probe(self, tmp_path, capsys):
+    def test_identity_floor_suite(self, tmp_path, capsys):
         path = tmp_path / "ident.cfg"
         path.write_text(
             "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
-            '[experiment]\nkind = identity\nseed = 1\nprobe = "laplace_zero"\n'
+            "[experiment]\nkind = identity\nseed = 1\nscale = 0\n"
         )
         assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
         payload = json.loads((tmp_path / "identity.json").read_text())
-        assert payload["pass"] and payload["reports"][0]["pass"]
-        # f = 0: estimate and reference are exactly 1 with SE 0, so z = 0/0 is written as null
-        assert payload["reports"][0]["z"] is None
-        assert "PASS  z =   nan  laplace" in capsys.readouterr().out
+        assert payload["pass"] and len(payload["reports"]) == 40
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith(("PASS  z = ", "FAIL  z = ")) for line in lines) == 40
+        assert "pass fraction: 1.000 over 40 checks" in lines
 
     @pytest.mark.parametrize(
         "kind,key,value",
@@ -207,7 +208,7 @@ class TestRun:
         path.write_text(
             "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
             f'[experiment]\nkind = {kind}\nseed = 1\n{key} = "{value}"\n'
-            + ('probe = "laplace_zero"\n' if kind == "identity" else "")
+            + ("scale = 0\n" if kind == "identity" else "")
         )
         assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
         captured = capsys.readouterr()
@@ -280,6 +281,25 @@ class TestRun:
         assert payload["series_residual"] <= 1e-8
         assert payload["gamma_agreement"] <= 1e-6
         assert len(payload["orthogonality"]) == 4
+
+    def test_chaos_configurations_are_keyed_by_path(self, tmp_path, monkeypatch):
+        # series/product configurations come from (seed, 0, i) and gamma ones from (seed, 1, i),
+        # so runs at different seeds share none
+        keys = []
+
+        def recording(model, seed, *path):
+            keys.append((seed, *path))
+            return sample_configuration(model, seed, *path)
+
+        monkeypatch.setattr(cli, "sample_configuration", recording)
+        path = tmp_path / "chaos.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 5.0\n\n"
+            "[experiment]\nkind = chaos\nnconfigs = 3\nngamma = 2\nnsamples = 200\n"
+        )
+        for seed in (0, 1):
+            assert main(["--seed", str(seed), "--out-dir", str(tmp_path / str(seed)), "run", str(path)]) in (0, 1)
+        assert keys == [(s, k, i) for s in (0, 1) for k, n in ((0, 3), (1, 2)) for i in range(n)]
 
     def test_chaos_experiment_on_polar_model(self, tmp_path, capsys):
         # the kernels read the first mark coordinate; their gradients are (n, 2) here
@@ -407,7 +427,6 @@ class TestExitCodes:
         "kind,extra,error",
         [
             ("density", "nsamples = 0", "nsamples must be >= 1"),
-            ("identity", 'probe = "laplace_zero"\nnsamples = 0', "nsamples must be >= 1"),
             ("chaos", "nsamples = 0", "nsamples must be >= 2"),
             ("chaos", "nsamples = 1", "nsamples must be >= 2"),
             ("rajchman", "k_max = -1", "k_max must be >= 0"),
@@ -443,12 +462,30 @@ class TestExitCodes:
         assert error in captured.err and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_non_finite_gamma_exits_2_with_one_line(self, tmp_path, capsys, seed):
+        # marks near 1e308: x^2 in the bottom carre du champ overflows; one line on stderr and no warning
+        path = tmp_path / "huge.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\nhigh = 1e308\n\n"
+            "[functional]\nlabel = path_eval\nt = 1.0\n\n[gamma]\nlabel = diag_x2\ndim = 1\n\n"
+            f"[experiment]\nkind = gamma\nseed = {seed}\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out-dir", str(tmp_path / "out"), "run", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "EngineError): atom 0 at" in err and "the carre du champ turns non-finite" in err
+        assert err.count("\n") == 1 and not caught
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "sections,error",
         [
             (
                 "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
-                '[experiment]\nkind = identity\nseed = 1\nprobe = "laplace_zero"\nnsamples = 2.7\n',
+                "[experiment]\nkind = chaos\nseed = 1\nnconfigs = 1\nnsamples = 2.7\n",
                 "line 10, column 1: [experiment] nsamples = 2.7 is not an integer",
             ),
             (
@@ -566,10 +603,10 @@ class TestExitCodes:
     def test_integral_float_count_and_zero_scale_accepted(self, tmp_path, capsys):
         path = tmp_path / "ok.cfg"
         base = "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n[experiment]\nkind = identity\nseed = 1\n"
-        path.write_text(base + 'probe = "laplace_zero"\nnsamples = 1e5\n')
-        assert main(["--out-dir", str(tmp_path / "probe"), "run", str(path)]) == 0
-        payload = json.loads((tmp_path / "probe" / "identity.json").read_text())
-        assert payload["reports"][0]["n"] == 100_000
+        path.write_text(base.replace("identity", "chaos") + "nconfigs = 0\nngamma = 0\nnsamples = 1e3\n")
+        assert main(["--out-dir", str(tmp_path / "chaos"), "run", str(path)]) == 0
+        payload = json.loads((tmp_path / "chaos" / "chaos.json").read_text())
+        assert [r["n"] for r in payload["orthogonality"]] == [1000] * 4
         # scale 0 runs every check at its floor sample count
         path.write_text(base + "scale = 0\nmin_pass_fraction = 0.0\n")
         assert main(["--out-dir", str(tmp_path / "suite"), "run", str(path)]) == 0
@@ -577,17 +614,30 @@ class TestExitCodes:
         assert len(payload["reports"]) == 40
         assert min(r["n"] for r in payload["reports"]) == 100
 
-    def test_unknown_probe_exits_3_without_running(self, tmp_path, capsys):
-        path = tmp_path / "probe.cfg"
+    @pytest.mark.parametrize("key", ["probe = \"laplace_zero\"", "nsamples = 1000"])
+    def test_identity_reads_no_probe_or_nsamples(self, tmp_path, capsys, key):
+        # the suite's size is set by scale alone; scale = 0 is its smoke run
+        path = tmp_path / "ident.cfg"
         path.write_text(
             "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
-            '[experiment]\nkind = identity\nseed = 1\nprobe = "nosuch"\n'
+            f"[experiment]\nkind = identity\nseed = 1\n{key}\n"
+        )
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line 9, column 1: kind=identity reads no [experiment] key '{key.split()[0]}'" in err
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+    def test_unknown_choice_exits_3_without_running(self, tmp_path, capsys):
+        path = tmp_path / "choice.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+            '[experiment]\nkind = chaos\nseed = 1\nu = "nosuch"\n'
         )
         assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 3
         captured = capsys.readouterr()
-        assert "line 9, column 1: unknown probe 'nosuch'" in captured.err
+        assert "line 9, column 1: unknown u 'nosuch'" in captured.err
         assert captured.out == ""
-        assert not (tmp_path / "identity.json").exists()
+        assert not (tmp_path / "chaos.json").exists()
 
     def test_unknown_key_reports_its_line(self, tmp_path, capsys):
         path = tmp_path / "key.cfg"
@@ -734,7 +784,7 @@ SWEEP_FUNCTIONAL_KEYS = {"nearest": {}, "gou": {"x0": "0.5", "t": "1.0"}, "jump_
 SWEEP_KIND_KEYS = {
     "gamma": {},
     "survey": {"nsamples": "3"},
-    "identity": {"probe": '"laplace_zero"', "nsamples": "2"},
+    "identity": {"scale": "0"},
     "chaos": {"nconfigs": "1", "ngamma": "1", "nsamples": "1000"},
     "density": {"nsamples": "200"},
     "rajchman": {"k_max": "2"},
@@ -776,10 +826,7 @@ def _sweep_cases():
             yield "gamma", label, key, _sweep_sections(family="curve" if label == "curve" else "uniform", gamma=label)
     for kind, entry in EXPERIMENTS.items():
         for key in _declared_keys(entry["params"]):
-            sections = _sweep_sections(kind=kind)
-            if (kind, key) == ("identity", "scale"):
-                del sections["experiment"]["probe"]  # the 40-check suite, at its floor sample count for scale 0
-            yield "experiment", kind, key, sections
+            yield "experiment", kind, key, _sweep_sections(kind=kind)
 
 
 SWEEP_CASES = list(_sweep_cases())

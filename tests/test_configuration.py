@@ -94,6 +94,34 @@ class TestSampling:
         assert np.all(np.diff(cfg.times) > 0)
         assert np.all(np.abs(cfg.marks) <= 0.5)
 
+    @pytest.mark.parametrize("family", list(intensities.MODEL_FAMILIES))
+    def test_configuration_is_the_one_sample_batch(self, family):
+        needs_rate = {"uniform", "gauss"}
+        models = [
+            intensities.build_model(family, horizon=1.5, **({"rate": 4.0, "dim": dim} if family in needs_rate else {}))
+            for dim in ((1, 2) if family in needs_rate else (1,))
+        ]
+        for model in models:
+            for seed, path in [(0, ()), (7, ()), (3, (1,)), (3, (2,)), (11, (0, 4)), (11, (1, 4))]:
+                assert sample_configuration(model, seed, *path) == sample_batch(model, 1, seed, *path).config(0)
+
+    def test_infinite_marks_raise(self):
+        model = gauss_model(1.0, rate=3.0, scale=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the sampler's overflow
+            with pytest.raises(ConfigurationError, match="finite"):
+                sample_configuration(model, 4)
+
+    def test_times_are_uniform_on_the_window(self):
+        # about 1e6 times; a law on [0, 0.98 T] moves the mean by about 34 SE
+        horizon = 2.5
+        batch = sample_batch(uniform_model(horizon, rate=4.0), 100_000, seed=31)
+        u = batch.times / horizon
+        n = u.size
+        assert n > 990_000 and u.min() >= 0.0 and u.max() <= 1.0
+        assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / n)
+        assert abs(np.mean(u**2) - 1.0 / 3.0) <= 4.0 * math.sqrt(4.0 / 45.0 / n)
+
     def test_superposition_matches_single_component(self):
         # counts of two superposed streams follow the summed-rate law
         m1 = uniform_model(1.0, rate=1.5)

@@ -371,6 +371,29 @@ class TestSurvey:
         # per-atom contributions are rank one for a 2-d functional of 1-d marks
         assert all(row[5] == 0.0 for row in res.rows)
 
+    def test_rank_deficient_gamma_fails_at_every_scaling(self):
+        # Gamma[AF] = A Gamma[F] A^T: the verdict follows the rank, whatever the scale of each coordinate
+        model = uniform_model(1.0, rate=20.0, low=-0.9, high=0.9)
+        cfg = sample_configuration(model, 9)
+        y = make_path_eval(model, 1.0)
+        full = carre_du_champ(make_pair_doleans(model, 1.0), cfg, SPEC).matrix
+        deficient = carre_du_champ(stack_functionals([y, y]), cfg, SPEC).matrix  # two equal Jacobian rows
+        scales = 10.0 ** np.arange(-30, 31, 6)
+        for a in np.stack(np.meshgrid(scales, scales), axis=-1).reshape(-1, 2):
+            for gamma, expected in ((full, True), (deficient, False)):
+                scaled = a[:, None] * gamma * a[None, :]
+                assert lent_particle._nondegenerate(scaled, 1e-12) == expected, (a, gamma)
+        assert det_positivity_survey(stack_functionals([y, y]), model, SPEC, 50, seed=9).frequency == 0.0
+
+    def test_zero_diagonal_entry_fails(self):
+        # the first has det 1 > 0 = tol prod_k M_kk: only its zero diagonal entries fail it
+        gammas = np.array([
+            [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+            np.diag([1.0, 0.0, 1.0]),
+            [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]],
+        ])
+        assert lent_particle._nondegenerate(gammas, 0.0).tolist() == [False, False, True]
+
     def test_row_i_drawn_from_stream_seed_i(self):
         F = make_path_eval(MODEL, 1.0)
         res = det_positivity_survey(F, MODEL, SPEC, 4, seed=8)
