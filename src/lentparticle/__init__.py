@@ -39,6 +39,7 @@ from .functionals import (
     make_time_integral,
 )
 from .intensities import (
+    IntegrationWarning,
     curve_model,
     dyadic_model,
     gauss_model,

@@ -12,7 +12,7 @@ as decimals with exponent.  Subcommands:
     fixtures        write the pinned example configurations to --out-dir
 
 Artifacts (CSV and JSON) carry a provenance header (config hash, seed,
-package, Python, numpy and scipy versions) and are byte-identical for
+package, Python and numpy versions) and are byte-identical for
 identical (config, seed) at any worker count: survey row i is drawn from
 the stream (seed, i) whichever worker computes it, and rows merge in
 index order.
@@ -226,18 +226,15 @@ def _write_artifacts(out_dir: str, files: dict, passed: bool, params: dict, conf
     """Write each artifact under the file name its key holds in params.
 
     A CSV body follows a provenance header line; a JSON summary gains the
-    provenance and pass fields.  The scipy version comes from the installed
-    package metadata, so writing it does not import scipy.
+    provenance and pass fields.  The provenance names numpy, the one
+    runtime dependency, and no other package.
     """
-    from importlib.metadata import version
-
     prov = {
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "seed": params["seed"],
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": version("scipy"),
     }
     os.makedirs(out_dir, exist_ok=True)
     header = "# " + " ".join(f"{key}={value}" for key, value in prov.items()) + "\n"
@@ -269,6 +266,8 @@ def _build_from_sections(cfg: dict[str, Section]) -> dict:
         if sec is None:
             built[section] = None
             continue
+        if section == "functional" and built["model"] is None:
+            raise ConfigParseError("[functional] needs [model]", *sec.at)
         params = dict(sec)
         name = params.pop(name_key, None)
         if name is None:
@@ -457,7 +456,7 @@ def _run_rajchman(p, model, sections, **_):
 
 #: The experiment contract, by kind:
 #:   run      runner(params, *, model, functional, gamma, sections, jobs) -> (pass, artifacts)
-#:   needs    the sections it needs besides [model]
+#:   needs    the sections it reads
 #:   params   the [experiment] keys it reads besides kind and seed, each with its
 #:            default; a key's type is its default's (None: an optional number),
 #:            and the keys ending in "out" name artifact files
@@ -467,7 +466,7 @@ def _run_rajchman(p, model, sections, **_):
 EXPERIMENTS: dict[str, dict] = {
     "gamma": {
         "run": _run_gamma,
-        "needs": ("functional", "gamma"),
+        "needs": ("model", "functional", "gamma"),
         # tolerance None: criterion 1's tolerance for the functional
         "params": {"fixture": None, "tolerance": None, "out": "gamma.json"},
         "low": {"tolerance": 0},
@@ -475,7 +474,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "survey": {
         "run": _run_survey,
-        "needs": ("functional", "gamma"),
+        "needs": ("model", "functional", "gamma"),
         "params": {
             "nsamples": 1000, "tolerance": 1e-12, "min_frequency": 0.0,
             "out": "survey.csv", "summary_out": "survey.json",
@@ -492,6 +491,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "chaos": {
         "run": _run_chaos,
+        "needs": ("model",),
         "params": {
             "u": "skew", "v": "square", "nconfigs": 50, "ngamma": 10, "nsamples": 200_000,
             "series_tol": 1e-8, "product_tol": 1e-10, "gamma_tol": 1e-6, "out": "chaos.json",
@@ -502,7 +502,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "density": {
         "run": _run_density,
-        "needs": ("functional",),
+        "needs": ("model", "functional"),
         "params": {
             "nsamples": 4000, "u_max": 40.0,
             "out": "density_kde.csv", "ecf_out": "density_ecf.csv", "summary_out": "density.json",
@@ -511,6 +511,7 @@ EXPERIMENTS: dict[str, dict] = {
     },
     "rajchman": {
         "run": _run_rajchman,
+        "needs": ("model",),
         # nsamples 0: no Monte Carlo overlay
         "params": {
             "k_max": 8, "nsamples": 0, "tolerance": 2e-3,
@@ -587,8 +588,6 @@ def cmd_run(args) -> int:
             fsec = cfg.setdefault("functional", Section())
             fsec["label"] = args.functional
             fsec.pos.pop("label", None)
-        if "model" not in cfg:
-            raise ConfigParseError("missing [model] section")
         built = _build_from_sections(cfg)
         missing = [f"[{name}]" for name in spec.get("needs", ()) if built[name] is None]
         if missing:

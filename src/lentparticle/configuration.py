@@ -129,7 +129,9 @@ class Configuration:
     def _from_arrays_unchecked(
         cls, horizon: float, dim: int, times: np.ndarray, marks: np.ndarray, intensity_ref: str
     ) -> "Configuration":
-        # Hot-loop constructor for arrays already known to satisfy the invariants.
+        # Hot-loop constructor for arrays already known to satisfy the invariants; it makes them read-only.
+        times.setflags(write=False)
+        marks.setflags(write=False)
         obj = object.__new__(cls)
         object.__setattr__(obj, "horizon", horizon)
         object.__setattr__(obj, "dim", dim)
@@ -255,12 +257,8 @@ class BatchedConfigurations:
     def config(self, i: int) -> Configuration:
         # invariants hold by construction (sampler output); skip re-validation
         rows = self.time_order[self.offsets[i]:self.offsets[i + 1]]
-        times = self.times[rows]
-        marks = self.marks[rows]
-        times.setflags(write=False)
-        marks.setflags(write=False)
         return Configuration._from_arrays_unchecked(
-            self.model.horizon, self.model.dim, times, marks, self.model.label
+            self.model.horizon, self.model.dim, self.times[rows], self.marks[rows], self.model.label
         )
 
     def sum_per_sample(self, values: np.ndarray) -> np.ndarray:
@@ -367,8 +365,6 @@ def add_particle(cfg: Configuration, a: Atom) -> Configuration:
         raise ConfigurationError(f"time collision at t={a.time} with a different mark")
     times = np.insert(cfg.times, i, a.time)
     marks = np.insert(cfg.marks, i, a.mark_array(), axis=0)
-    times.setflags(write=False)
-    marks.setflags(write=False)
     return Configuration._from_arrays_unchecked(cfg.horizon, cfg.dim, times, marks, cfg.intensity_ref)
 
 
@@ -376,8 +372,6 @@ def remove_index(cfg: Configuration, i: int) -> Configuration:
     """Remove the i-th atom (used by the per-atom engine loops)."""
     times = np.delete(cfg.times, i)
     marks = np.delete(cfg.marks, i, axis=0)
-    times.setflags(write=False)
-    marks.setflags(write=False)
     return Configuration._from_arrays_unchecked(cfg.horizon, cfg.dim, times, marks, cfg.intensity_ref)
 
 
@@ -419,6 +413,4 @@ def read_configuration(text: str, intensity_ref: str = "manual") -> Configuratio
             raise ConfigurationError(f"atom line {i + 2}: expected {1 + dim} fields, got {len(vals)}")
         times[i] = vals[0]
         marks[i] = vals[1:]
-    if n > 1 and np.any(np.diff(times) <= 0.0):
-        raise ConfigurationError("atom times must be strictly increasing (no duplicates)")
     return Configuration(horizon, dim, times, marks, intensity_ref=intensity_ref)

@@ -357,16 +357,16 @@ def make_stochastic_area(model: IntensityModel, t: float) -> Functional:
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _broadcast_check(fn: Callable, probe: np.ndarray, shape: tuple[int, ...], name: str) -> None:
-    """fn must map the (2, d) probe to (2,) + shape, each row equal to fn of that row alone."""
-    expected = f"{name} must broadcast over leading axes, {probe.shape} -> {(2,) + shape}"
+def _broadcast_check(fn: Callable, probes: Sequence[np.ndarray], shape: tuple[int, ...], name: str) -> None:
+    """fn must map (2, .) probe arguments to (2,) + shape, each row equal to fn of that row alone."""
+    expected = f"{name} must broadcast over leading axes, {' and '.join(str(p.shape) for p in probes)} -> {(2,) + shape}"
     try:
-        rows = np.asarray(fn(probe), dtype=float)
-        points = np.array([np.asarray(fn(y), dtype=float) for y in probe])
+        rows = np.asarray(fn(*probes), dtype=float)
+        points = np.array([np.asarray(fn(*row), dtype=float) for row in zip(*probes)])
     except (ValueError, TypeError, IndexError) as exc:
         raise FunctionalError(f"{expected}: {exc}") from exc
     if not (rows.shape == points.shape == (2,) + shape and np.allclose(rows, points, rtol=1e-12, atol=1e-12)):
-        raise FunctionalError(f"{expected}, got {rows.shape} against per-point rows {points.shape}")
+        raise FunctionalError(f"{expected}, got rows {rows.shape} unlike the per-point rows {points.shape}")
 
 
 def make_time_integral(
@@ -391,8 +391,8 @@ def make_time_integral(
     d = model.dim
     out_dim = np.atleast_1d(g(np.zeros(d))).size
     probe = np.array([[0.5], [-0.25]]) * np.arange(1, d + 1)
-    _broadcast_check(g, probe, (out_dim,), "g")
-    _broadcast_check(gprime, probe, (out_dim, d), "gprime")
+    _broadcast_check(g, [probe], (out_dim,), "g")
+    _broadcast_check(gprime, [probe], (out_dim, d), "gprime")
 
     def integrate(fn: Callable, base: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """sum over segments of int_a^b fn(base - s mean) ds for bases (..., S, d)."""
@@ -554,10 +554,10 @@ def make_jump_sde(
     Jumps apply c at each atom; between jumps the compensator drift
     -c(s, X, mean), exact when c is linear in the mark, is advanced by
     explicit Euler with step euler_step (skipped when the mean is zero).
-    c must broadcast over leading axes, z (..., m) and u (..., d) to
-    (..., m), so the value_marks hook advances K states in one pass; value
-    is its one-row case.  Derivatives are finite differences, all 2 d n of
-    one configuration from one value_marks call.
+    c must broadcast over leading axes, z (..., m) and u (..., d) to (..., m),
+    checked on a probe, so the value_marks hook advances K states in one
+    pass; value is its one-row case.  Derivatives are finite differences,
+    all 2 d n of one configuration from one value_marks call.
     """
     _check_window(t, model.horizon)
     if not (math.isfinite(euler_step) and euler_step > 0.0):
@@ -567,13 +567,11 @@ def make_jump_sde(
         raise FunctionalError(f"initial state must be finite, got {x0}")
     m = x0.size
     mean = model.mean
-    expected = f"c on a (1, {m}) state and a (1, {model.dim}) mark must broadcast to (1, {m})"
-    try:
-        shape = np.broadcast_shapes(np.shape(c(0.0, x0[None], mean[None])), (1, m))
-    except (ValueError, TypeError, IndexError) as exc:
-        raise FunctionalError(f"{expected}: {exc}") from exc
-    if shape != (1, m):
-        raise FunctionalError(f"{expected}, got {shape}")
+    # the solver adds c to its (K, m) states, so c's rows may broadcast to (m,), as a constant does
+    probe = np.array([[0.5], [-0.25]]) * np.arange(1, m + model.dim + 1)
+    _broadcast_check(
+        lambda z, u: np.broadcast_to(c(0.0, z, u), z.shape[:-1] + (m,)), [probe[:, :m], probe[:, m:]], (m,), "c"
+    )
     drift_free = bool(np.all(mean == 0.0))
 
     def advance(state: np.ndarray, a: float, b: float) -> np.ndarray:

@@ -10,14 +10,14 @@ Quadrature evaluates f on whole node arrays: one adaptive Gauss-Kronrod
 cubature (21-point Kronrod, embedded 10-point Gauss, rtol = atol = 1e-12)
 over the family's finite box, one per angular sector for polar.  It
 returns scipy.integrate.cubature's gk21 result bit for bit but makes one f
-call per subdivision, and it is in the package: scipy is imported only to
-raise IntegrationWarning.  The gauss family's box is [-c scale, c scale]^d
-with c = 38.61, not R^d: its density exp(-z*z/2) is exactly 0.0 in float64
-for |z| past 38.604, so every node outside the box would add exactly 0.0
-(or nan where f overflows), and the finite box integrates the same
-floating-point integrand with about a tenth of the nodes.  The atomic
-family integrates by finite sum.  Symmetric families set their compensator
-mean to exactly zero.
+call per subdivision; it and its IntegrationWarning are in the package, so
+numpy is the one runtime dependency.  The gauss family's box is
+[-c scale, c scale]^d with c = 38.61, not R^d: its density exp(-z*z/2) is
+exactly 0.0 in float64 for |z| past 38.604, so every node outside the box
+would add exactly 0.0 (or nan where f overflows), and the finite box
+integrates the same floating-point integrand with about a tenth of the
+nodes.  The atomic family integrates by finite sum.  Symmetric families set
+their compensator mean to exactly zero.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 from .configuration import IntensityModel, InvalidModelError
 
 __all__ = [
+    "IntegrationWarning",
     "uniform_model",
     "gauss_model",
     "power_model",
@@ -144,25 +145,28 @@ def _cubature(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
     return est, err, "converged"
 
 
-def _integrate(fn: Callable[[np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float]) -> float:
-    """Integral of fn((k, d) nodes) -> (k,) over the finite box [lo, hi], lo <= hi.
+class IntegrationWarning(UserWarning):
+    """A quadrature stopped short of its tolerance or returned a non-finite value."""
+
+
+def _integrate(fn: Callable, lo: Sequence[float], hi: Sequence[float], factor: float = 1.0) -> float:
+    """factor times the integral of fn((k, d) nodes) -> (k,) over the finite box [lo, hi], lo <= hi.
 
     Adaptive product Gauss-Kronrod (21-point Kronrod, embedded 10-point
     Gauss) to rtol = atol = 1e-12, equal bit for bit to scipy's cubature
-    with rule gk21.  Warns with scipy's IntegrationWarning, importing scipy
-    only then, when the rule stops short of the tolerance or the estimate
-    is not finite.
+    with rule gk21.  Warns with IntegrationWarning when the rule stops
+    short of the tolerance or the value is not finite, reporting the value
+    returned and its error estimate, both scaled by factor.
     """
     est, err, status = _cubature(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if status != "converged" or not math.isfinite(est):
-        from scipy.integrate import IntegrationWarning
-
+    value = factor * est
+    if status != "converged" or not math.isfinite(value):
         warnings.warn(
-            f"cubature {status} with estimate {est!r}, error estimate {err:.3g}",
+            f"cubature {status} with estimate {float(value)!r}, error estimate {abs(factor) * err:.3g}",
             IntegrationWarning,
             stacklevel=3,
         )
-    return est
+    return value
 
 
 def uniform_model(
@@ -185,7 +189,7 @@ def uniform_model(
         return rng.uniform(low, high, size=(n, dim))
 
     def sigma_int(f):
-        return density * _integrate(f, [low] * dim, [high] * dim)
+        return _integrate(f, [low] * dim, [high] * dim, density)
 
     symmetric = low == -high
     mean = np.zeros(dim) if symmetric else np.full(dim, rate * 0.5 * (low + high))
@@ -215,8 +219,9 @@ def gauss_model(
     """Marks i.i.d. centered Gaussian with standard deviation `scale` per coordinate."""
     if dim not in (1, 2):
         raise InvalidModelError("gauss family ships dim 1 or 2")
-    if not (scale > 0.0 and math.isfinite(scale)):  # scale 0 draws only the excluded zero mark
-        raise InvalidModelError(f"gauss family needs a finite scale > 0, got {scale}")
+    cut = _GAUSS_CUT * scale  # scale 0 draws only the excluded zero mark; [-cut, cut]^d needs a finite volume
+    if not (scale > 0.0 and math.isfinite(math.prod([2.0 * cut] * dim))):
+        raise InvalidModelError(f"gauss family needs a finite scale > 0, got {scale} (box volume (2 * {_GAUSS_CUT} scale)^{dim})")
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return scale * rng.standard_normal((n, dim))
@@ -226,8 +231,7 @@ def gauss_model(
         return np.prod(np.exp(-0.5 * (xs / scale) ** 2) / (scale * math.sqrt(2.0 * math.pi)), axis=1)
 
     def sigma_int(f):
-        cut = _GAUSS_CUT * scale
-        return rate * _integrate(lambda xs: f(xs) * dens(xs), [-cut] * dim, [cut] * dim)
+        return _integrate(lambda xs: f(xs) * dens(xs), [-cut] * dim, [cut] * dim, rate)
 
     return IntensityModel(
         label=label or f"gauss({scale})d{dim}",
@@ -342,7 +346,7 @@ def polar_model(
             return f(np.column_stack([r * np.cos(th), r * np.sin(th)])) / r
 
         # sector edges are discontinuities of g: one cubature per sector
-        return sum(g[i] * _integrate(fn, [edges[i], epsilon], [edges[i + 1], 1.0]) for i in range(k) if g[i] > 0.0)
+        return sum(_integrate(fn, [edges[i], epsilon], [edges[i + 1], 1.0], g[i]) for i in range(k) if g[i] > 0.0)
 
     # first moment closed form: (1 - eps) * integral of g * (cos, sin)
     mean = (1.0 - epsilon) * np.array(

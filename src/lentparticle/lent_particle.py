@@ -64,6 +64,10 @@ class EngineError(RuntimeError):
     """Raised when a derivative is non-finite or dimensions disagree."""
 
 
+#: carre_du_champ and _sharp run under it: overflow warns nothing; a non-finite D or total raises EngineError
+_engine_errstate = np.errstate(over="ignore", invalid="ignore")
+
+
 def _chol_with_jitter(a: np.ndarray) -> np.ndarray:
     tr = float(np.trace(a))
     if tr == 0.0:
@@ -249,6 +253,7 @@ def _atom_jacobians(F: Functional, cfg: Configuration, mode: str) -> np.ndarray:
     return out
 
 
+@_engine_errstate
 def carre_du_champ(
     F: Functional,
     cfg: Configuration,
@@ -264,18 +269,18 @@ def carre_du_champ(
         raise EngineError(
             f"dimension mismatch: cfg d={cfg.dim}, spec d={spec.dim}, functional d={F.mark_dim}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        jacs = _atom_jacobians(F, cfg, mode)
-        contribs = jacs @ spec.alpha(cfg.marks) @ _transpose(jacs)
-        contribs = 0.5 * (contribs + _transpose(contribs))
-        # summed in atom order, as the lend loop visits the atoms
-        total = sum(contribs, np.zeros((F.out_dim, F.out_dim)))
-        if not np.isfinite(total).all():
-            i = int(np.argmin(np.isfinite(np.cumsum(contribs, axis=0)).all(axis=(1, 2))))
-            raise EngineError(f"atom {i} at (t={cfg.times[i]}, x={cfg.marks[i]}): the carre du champ turns non-finite")
+    jacs = _atom_jacobians(F, cfg, mode)
+    contribs = jacs @ spec.alpha(cfg.marks) @ _transpose(jacs)
+    contribs = 0.5 * (contribs + _transpose(contribs))
+    # summed in atom order, as the lend loop visits the atoms
+    total = sum(contribs, np.zeros((F.out_dim, F.out_dim)))
+    if not np.isfinite(total).all():
+        i = int(np.argmin(np.isfinite(np.cumsum(contribs, axis=0)).all(axis=(1, 2))))
+        raise EngineError(f"atom {i} at (t={cfg.times[i]}, x={cfg.marks[i]}): the carre du champ turns non-finite")
     return CarreDuChamp(matrix=total, contributions=contribs)
 
 
+@_engine_errstate
 def _sharp(F: Functional, cfg: Configuration, spec: GammaSpec, aux: np.ndarray, mode: str) -> np.ndarray:
     """sum_a D_a L(x_a) eta(r_a) for each row of aux marks (s, n): shape (s, m)."""
     jacs = _atom_jacobians(F, cfg, mode)

@@ -326,9 +326,7 @@ class TestRun:
         first = (tmp_path / "density_kde.csv").read_text().splitlines()[0]
         assert first.startswith("# config_sha256=")
 
-    def test_provenance_names_python_numpy_and_scipy(self, tmp_path):
-        from importlib.metadata import version
-
+    def test_provenance_names_python_and_numpy_and_no_scipy(self, tmp_path):
         path = tmp_path / "dens.cfg"
         path.write_text(
             "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 5.0\n\n"
@@ -336,12 +334,14 @@ class TestRun:
             "[experiment]\nkind = density\nseed = 3\nnsamples = 300\n"
         )
         assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
-        want = {"python": platform.python_version(), "numpy": np.__version__, "scipy": version("scipy")}
+        want = {"python": platform.python_version(), "numpy": np.__version__}
         prov = json.loads((tmp_path / "density.json").read_text())["provenance"]
         assert {key: prov[key] for key in want} == want
+        keys = ("config_sha256", "seed", "version", "python", "numpy")
+        assert sorted(prov) == sorted(keys)
         header = (tmp_path / "density_ecf.csv").read_text().splitlines()[0]
-        keys = ("config_sha256", "seed", "version", "python", "numpy", "scipy")
         assert header == "# " + " ".join(f"{key}={prov[key]}" for key in keys)
+        assert "scipy" not in header
 
 
 # [functional] keys and mark dimension of each registered functional on criterion 1's uniform models
@@ -462,6 +462,43 @@ class TestExitCodes:
         assert error in captured.err and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_gauss_scale_whose_box_overflows_exits_2_with_one_line(self, tmp_path, capsys):
+        # the sampler's overflow warning once came before the line
+        path = tmp_path / "wide.cfg"
+        path.write_text(
+            "[model]\nfamily = gauss\nhorizon = 1.0\nrate = 2.0\nscale = 1e308\n\n"
+            "[functional]\nlabel = path_eval\nt = 1.0\n\n[gamma]\nlabel = diag_x2\ndim = 1\n\n"
+            "[experiment]\nkind = gamma\nseed = 2\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out-dir", str(tmp_path / "out"), "run", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and not caught
+        assert "InvalidModelError): gauss family needs a finite scale > 0, got 1e+308 (box volume" in err
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+    def test_identity_reads_no_model(self, tmp_path, capsys):
+        path = tmp_path / "identity.cfg"
+        path.write_text("[experiment]\nkind = identity\nscale = 0\n")
+        assert main(["--out-dir", str(tmp_path), "run", str(path)]) == 0
+        assert "pass fraction:" in capsys.readouterr().out
+        assert len(json.loads((tmp_path / "identity.json").read_text())["reports"]) == 40
+
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+    def test_missing_model_exits_2_with_one_line(self, tmp_path, capsys, kind):
+        # identity alone runs without [model]; a [functional] is built on a model whatever the kind
+        path = tmp_path / "nomodel.cfg"
+        out = ["--out-dir", str(tmp_path / "out"), "run", str(path)]
+        if kind != "identity":
+            path.write_text(f"[experiment]\nkind = {kind}\n")
+            assert main(out) == 2
+            assert re.fullmatch(rf"config error: kind={kind} needs \[model\][^\n]*\n", capsys.readouterr().err)
+        path.write_text(f"[functional]\nlabel = path_eval\nt = 1.0\n\n[experiment]\nkind = {kind}\n")
+        assert main(out) == 2
+        assert capsys.readouterr().err == "config error at line 1, column 1: [functional] needs [model]\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seed", [2, 6])
     def test_non_finite_gamma_exits_2_with_one_line(self, tmp_path, capsys, seed):
         # marks near 1e308: x^2 in the bottom carre du champ overflows; one line on stderr and no warning
@@ -561,7 +598,7 @@ class TestExitCodes:
         [
             ("euler_step = nan", "euler step must be finite and positive, got nan"),
             ("euler_step = inf", "euler step must be finite and positive, got inf"),
-            ("z0 = [1.0, 2.0]", "c on a (1, 2) state and a (1, 2) mark must broadcast to (1, 2)"),
+            ("z0 = [1.0, 2.0]", "c must broadcast over leading axes, (2, 2) and (2, 2) -> (2, 2)"),
         ],
         ids=["nan_step", "infinite_step", "short_state"],
     )

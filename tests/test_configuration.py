@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.integrate import IntegrationWarning, cubature
+from scipy.integrate import cubature
 
-from lentparticle import intensities
+from lentparticle import IntegrationWarning, intensities
 from lentparticle.configuration import (
     Atom,
     BatchedConfigurations,
@@ -106,11 +107,13 @@ class TestSampling:
                 assert sample_configuration(model, seed, *path) == sample_batch(model, 1, seed, *path).config(0)
 
     def test_infinite_marks_raise(self):
-        model = gauss_model(1.0, rate=3.0, scale=1e308)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the sampler's overflow
-            with pytest.raises(ConfigurationError, match="finite"):
-                sample_configuration(model, 4)
+        # an overflowing sampler; gauss_model rejects the scale 1e308 whose sampler once overflowed
+        def overflowing(rng, n):
+            return np.full((n, 1), np.inf)
+
+        model = IntensityModel("overflow", "test", 1.0, 1, 3.0, overflowing, lambda f: 0.0, np.zeros(1))
+        with pytest.raises(ConfigurationError, match="finite"):
+            sample_configuration(model, 4)
 
     def test_times_are_uniform_on_the_window(self):
         # about 1e6 times; a law on [0, 0.98 T] moves the mean by about 34 SE
@@ -569,11 +572,42 @@ def test_sigma_integrate_warns_on_a_nan_integrand():
     assert math.isnan(val)
 
 
+def test_gauss_scale_whose_box_overflows_is_rejected():
+    # the box [-38.61 scale, 38.61 scale]^d: its width overflows from about 2.3e306, its area from 1.7e152
+    for scale, dim in ((1e306, 1), (1e152, 2)):
+        val = gauss_model(1.0, rate=3.0, scale=scale, dim=dim).sigma_integrate(lambda xs: np.ones(len(xs)))
+        assert val == pytest.approx(3.0, rel=1e-15)
+    for scale, dim in ((1e307, 1), (1e308, 1), (2e152, 2)):
+        with pytest.raises(InvalidModelError, match=re.escape(f"got {scale:g} (box volume")):
+            gauss_model(1.0, rate=3.0, scale=scale, dim=dim)
+
+
+@pytest.mark.parametrize("family", ["uniform_d2", "gauss_d2", "power_sym", "polar_sectors", "curve"])
+def test_quadrature_warning_reports_the_returned_value(monkeypatch, family):
+    """Each warning names factor x estimate and |factor| x error of its box, factor the density or g_i."""
+    model, probe = QUAD_FAMILIES[family](), QUAD_PROBES["indicator"]
+    monkeypatch.setattr(intensities, "_MAX_SUBDIVISIONS", 1)
+    with pytest.warns(IntegrationWarning) as caught:
+        val = model.sigma_integrate(probe)
+    factors = []
+    monkeypatch.setattr(
+        intensities, "_integrate", lambda fn, lo, hi, factor=1.0: factors.append(factor) or 0.0
+    )
+    model.sigma_integrate(probe)
+    parts = []
+    for (fn, lo, hi), factor, warning in zip(_boxes(model, probe), factors, caught, strict=True):
+        est, err, status = intensities._cubature(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        parts.append(float(factor * est))
+        want = f"cubature {status} with estimate {parts[-1]!r}, error estimate {abs(factor) * err:.3g}"
+        assert str(warning.message) == want
+    assert sum(parts) == val and len(parts) == (2 if family == "polar_sectors" else 1)
+
+
 def _boxes(model, f):
     """The (fn, lo, hi) of every _integrate call model.sigma_integrate(f) makes."""
     boxes = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intensities, "_integrate", lambda fn, lo, hi: boxes.append((fn, lo, hi)) or 0.0)
+        mp.setattr(intensities, "_integrate", lambda fn, lo, hi, factor=1.0: boxes.append((fn, lo, hi)) or 0.0)
         model.sigma_integrate(f)
     return boxes
 

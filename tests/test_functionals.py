@@ -426,6 +426,20 @@ class TestJumpSDE:
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1) if errs[i + 1] > 0]
         assert all(r > 1.6 for r in ratios), (errs, ratios)
 
+    def test_coefficient_must_broadcast_over_leading_axes(self):
+        # a c that indexes the leading axis once passed and gave every lent atom the first row's coefficient
+        model = uniform_model(1.0, rate=5.0, low=-0.3, high=0.8)
+        with pytest.raises(FunctionalError, match=r"^c must broadcast over leading axes, \(2, 1\) and \(2, 1\)"):
+            make_jump_sde(model, lambda s, z, u: z[0] * u[0], [1.0], 1.0)
+        F = make_jump_sde(model, lambda s, z, u: z * u, [1.0], 1.0)
+        cfg = sample_configuration(model, seed=3)
+        assert cfg.n_atoms == 1
+        x = cfg.marks[0]
+        jac = finite_difference_add_derivative(F.value, Configuration(1.0, 1, [], [], "lent"), cfg.times[0], x, 1)
+        gamma = carre_du_champ(F, cfg, diag_squares_gamma(1), mode="fd").matrix[0, 0]
+        assert gamma == pytest.approx((jac[0, 0] * x[0]) ** 2, rel=1e-12)
+        assert gamma == pytest.approx(0.0464168, rel=1e-6)
+
     def test_step_validation(self):
         with pytest.raises(FunctionalError):
             make_jump_sde(SYM1, lambda s, z, u: u, [0.0], 1.0, euler_step=0.0)

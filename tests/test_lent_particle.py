@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -292,6 +293,18 @@ class TestSharpSample:
             sharp_sample_many(bad, EX1, SPEC, 3, seed=0)
         with pytest.raises(EngineError):
             sharp_sample_many(F, EX1, SPEC, 1, seed=0, mode="magic")
+
+    def test_overflowing_fd_stencil_warns_nothing(self):
+        # marks near 1e308: the fd path's prefix sums overflow, as in carre_du_champ, under one errstate
+        model = uniform_model(1.0, rate=2.0, high=1e308)
+        cfg = sample_configuration(model, seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = sharp_sample_many(make_path_eval(model, 0.5), cfg, SPEC, 5, seed=7, mode="fd")
+        assert not caught and cfg.n_atoms == 4
+        assert got[:, 0].tolist() == [
+            -math.inf, -6.915876452882719e307, 6.860516100850899e307, 1.75420493484129e308, -4.032273719017338e307
+        ]
 
     def test_second_moment_converges_to_gamma(self):
         F = make_doleans(MODEL, 1.0)
