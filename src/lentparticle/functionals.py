@@ -23,7 +23,11 @@ call on such mark arrays, ``finite_difference_lent_jacobians``: through
 row.  Three functionals ship it, and each ``value`` is its one-row case:
 - the jump SDE: its coefficient ``c(s, z, u)`` broadcasts over leading axes
   (``z (..., m)``, ``u (..., d)`` -> ``(..., m)``), so one Euler pass
-  advances all K states, and its compensator drift is ``c(s, z, mean)``;
+  advances all K states, and its compensator drift is ``c(s, z, mean)``.
+  One solver, ``_jump_sde``, holds the jump loop: a user ``c`` advances the
+  drift by a step loop, one ``c`` call per Euler step, and the triangular
+  preset by prefix sums over the steps, ``_SDE_SCAN_STEPS`` at a time, with
+  the step loop's bits;
 - the time integral: ``g`` (``(..., d) -> (..., m)``) and ``gprime``
   (``(..., d) -> (..., m, d)``) broadcast over leading axes, so all segments,
   quadrature nodes and mark sets go through one ``g`` call;
@@ -541,49 +545,46 @@ def make_nearest_point(model: IntensityModel) -> Functional:
     return Functional("nearest", 1, d, value, add_derivative)
 
 
-def make_jump_sde(
+# Euler steps per prefix-sum chunk of the triangular drift: the scan holds 3 (chunk + 1) K floats for K states
+_SDE_SCAN_STEPS = 512
+# cap on t / euler_step, far above every shipped step (euler_step 1e-3 at t = 1 is 1,000 steps)
+_SDE_MAX_STEPS = 1_000_000
+
+
+def _jump_sde(
     model: IntensityModel,
     c: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     x0: np.ndarray,
     t: float,
-    euler_step: float = 1e-2,
-    label: str = "jump_sde",
+    euler_step: float,
+    label: str,
+    drift: Callable[[np.ndarray, float, float, int], np.ndarray],
 ) -> Functional:
-    """Pure-jump SDE dX = c(s, X_-, u) dN~ solved pathwise; the state dimension is x0's size.
-
-    Jumps apply c at each atom; between jumps the compensator drift
-    -c(s, X, mean), exact when c is linear in the mark, is advanced by
-    explicit Euler with step euler_step (skipped when the mean is zero).
-    c must broadcast over leading axes, z (..., m) and u (..., d) to (..., m),
-    checked on a probe, so the value_marks hook advances K states in one
-    pass; value is its one-row case.  Derivatives are finite differences,
-    all 2 d n of one configuration from one value_marks call.
-    """
+    """The jump SDE solver: c at each atom; between atoms drift(state, a, h, nsteps), nsteps Euler steps of h from a."""
     _check_window(t, model.horizon)
     if not (math.isfinite(euler_step) and euler_step > 0.0):
         raise FunctionalError(f"euler step must be finite and positive, got {euler_step}")
+    if not t / euler_step <= _SDE_MAX_STEPS:
+        raise FunctionalError(
+            f"euler_step = {euler_step} needs t / euler_step = {t / euler_step:.3g} Euler steps, "
+            f"above the cap of {_SDE_MAX_STEPS:,}"
+        )
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not np.all(np.isfinite(x0)):
         raise FunctionalError(f"initial state must be finite, got {x0}")
     m = x0.size
-    mean = model.mean
     # the solver adds c to its (K, m) states, so c's rows may broadcast to (m,), as a constant does
     probe = np.array([[0.5], [-0.25]]) * np.arange(1, m + model.dim + 1)
     _broadcast_check(
         lambda z, u: np.broadcast_to(c(0.0, z, u), z.shape[:-1] + (m,)), [probe[:, :m], probe[:, m:]], (m,), "c"
     )
-    drift_free = bool(np.all(mean == 0.0))
+    drift_free = bool(np.all(model.mean == 0.0))
 
     def advance(state: np.ndarray, a: float, b: float) -> np.ndarray:
         if b <= a or drift_free:
             return state
         nsteps = max(1, math.ceil((b - a) / euler_step))
-        h = (b - a) / nsteps
-        s = a
-        for _ in range(nsteps):
-            state = state - h * c(s, state, mean)
-            s += h
-        return state
+        return drift(state, a, (b - a) / nsteps, nsteps)
 
     def value_marks(cfg: Configuration, marks: np.ndarray) -> np.ndarray:
         state = np.tile(x0, (len(marks), 1))
@@ -601,6 +602,47 @@ def make_jump_sde(
     return with_fd_derivative(f"{label}(t={t})", m, model.dim, value, value_marks=value_marks)
 
 
+def make_jump_sde(
+    model: IntensityModel,
+    c: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    t: float,
+    euler_step: float = 1e-2,
+    label: str = "jump_sde",
+) -> Functional:
+    """Pure-jump SDE dX = c(s, X_-, u) dN~ solved pathwise; the state dimension is x0's size.
+
+    Jumps apply c at each atom; between jumps the compensator drift
+    -c(s, X, mean), exact when c is linear in the mark, is advanced by
+    explicit Euler with step euler_step (skipped when the mean is zero),
+    one c call per step.  t / euler_step may not exceed _SDE_MAX_STEPS.
+    c must broadcast over leading axes, z (..., m) and u (..., d) to (..., m),
+    checked on a probe, so the value_marks hook advances K states in one
+    pass; value is its one-row case.  Derivatives are finite differences,
+    all 2 d n of one configuration from one value_marks call.
+    """
+    mean = model.mean
+
+    def step_loop(state: np.ndarray, a: float, h: float, nsteps: int) -> np.ndarray:
+        s = a
+        for _ in range(nsteps):
+            state = state - h * c(s, state, mean)
+            s += h
+        return state
+
+    return _jump_sde(model, c, x0, t, euler_step, label, step_loop)
+
+
+def _triangular_c(s: float, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The triangular preset's coefficient: (u0, 2 z0 u0 + u1, z0 u0 + 2 u1)."""
+    z0u0 = z[..., 0] * u[..., 0]
+    out = np.empty(z0u0.shape + (3,))
+    out[..., 0] = u[..., 0]
+    out[..., 1] = 2.0 * z0u0 + u[..., 1]  # 2 (z0 u0) = (2 z0) u0: doubling is exact
+    out[..., 2] = z0u0 + 2.0 * u[..., 1]
+    return out
+
+
 def make_triangular_sde(
     model: IntensityModel,
     z0: Sequence[float] = (0.0, 0.0, 0.0),
@@ -611,19 +653,33 @@ def make_triangular_sde(
 
     dZ1 = dY1, dZ2 = 2 Z1_- dY1 + dY2, dZ3 = Z1_- dY1 + 2 dY2: a degenerate
     system whose jump-driven version still spreads over R^3.
+
+    make_jump_sde with this c, bit for bit, but the drift between jumps is
+    three prefix sums over the Euler steps instead of a step loop: Z1 falls
+    by h m0 a step and Z2, Z3 by terms of Z1 alone.  a - b is a + (-b) and
+    np.add.accumulate adds in order, so every state keeps the loop's bits.
+    The scan runs _SDE_SCAN_STEPS steps at a time, so its memory is bounded
+    at any euler_step, and chunking does not change the sequence of adds.
     """
     if model.dim != 2:
         raise FunctionalError("this preset needs mark dimension 2")
+    m0, m1 = model.mean
 
-    def c(s: float, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        z0u0 = z[..., 0] * u[..., 0]
-        out = np.empty(z0u0.shape + (3,))
-        out[..., 0] = u[..., 0]
-        out[..., 1] = 2.0 * z0u0 + u[..., 1]  # 2 (z0 u0) = (2 z0) u0: doubling is exact
-        out[..., 2] = z0u0 + 2.0 * u[..., 1]
-        return out
+    def scan(state: np.ndarray, a: float, h: float, nsteps: int) -> np.ndarray:
+        for lo in range(0, nsteps, _SDE_SCAN_STEPS):
+            z = np.empty((3, min(_SDE_SCAN_STEPS, nsteps - lo) + 1, len(state)))  # coordinate, step, row
+            z[:, 0] = state.T
+            z[0, 1:] = -(h * m0)
+            np.add.accumulate(z[0], axis=0, out=z[0])
+            # each step's -h c(s, z, mean), from Z1 before the step
+            z0m0 = z[0, :-1] * m0
+            z[1, 1:] = -(h * (2.0 * z0m0 + m1))
+            z[2, 1:] = -(h * (z0m0 + 2.0 * m1))
+            np.add.accumulate(z[1:], axis=1, out=z[1:])
+            state = z[:, -1].T.copy()
+        return state
 
-    return make_jump_sde(model, c, np.asarray(z0, dtype=float), t, euler_step=euler_step, label="jump_sde[triangular]")
+    return _jump_sde(model, _triangular_c, np.asarray(z0, dtype=float), t, euler_step, "jump_sde[triangular]", scan)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,16 @@ def uniform_model(
     if dim not in (1, 2):
         raise InvalidModelError("uniform family ships dim 1 or 2")
     width = high - low
-    density = rate / width**dim
+    try:
+        density = rate / width**dim
+    except (OverflowError, ZeroDivisionError):  # Python's float ** and / raise where numpy returns inf
+        density = math.nan
+    # a rate outside (0, inf) is left to IntensityModel's own check
+    if 0.0 < rate < math.inf and not 0.0 < density < math.inf:
+        raise InvalidModelError(
+            f"uniform family needs a finite positive density rate / (high - low)^{dim}, "
+            f"got rate {rate} on ({low}, {high})"
+        )
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(low, high, size=(n, dim))

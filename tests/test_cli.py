@@ -599,8 +599,9 @@ class TestExitCodes:
             ("euler_step = nan", "euler step must be finite and positive, got nan"),
             ("euler_step = inf", "euler step must be finite and positive, got inf"),
             ("z0 = [1.0, 2.0]", "c must broadcast over leading axes, (2, 2) and (2, 2) -> (2, 2)"),
+            ("euler_step = 1e-300", "euler_step = 1e-300 needs t / euler_step = 1e+300 Euler steps, above the cap of 1,000,000"),
         ],
-        ids=["nan_step", "infinite_step", "short_state"],
+        ids=["nan_step", "infinite_step", "short_state", "step_budget"],
     )
     def test_jump_sde_inputs_exit_2(self, tmp_path, capsys, keys, error):
         path = tmp_path / "sde.cfg"
@@ -621,11 +622,20 @@ class TestExitCodes:
             ("family = gauss\nrate = 2.0\nscale = 0", "gauss family needs a finite scale > 0, got 0"),
             ("family = dyadic\nn_start = 1100\nn_max = 1100", "n_max >= n_start in [-1022, 1074], got 1100..1100"),
             ("family = dyadic\nn_max = 1e308", "n_max >= n_start in [-1022, 1074], got 0..1e+308"),
+            (
+                "family = uniform\nrate = 2.0\nlow = -1e200\nhigh = 1e200\ndim = 2",
+                "uniform family needs a finite positive density rate / (high - low)^2, got rate 2.0 on (-1e+200, 1e+200)",
+            ),
+            (
+                "family = uniform\nrate = 2.0\nlow = 0\nhigh = 1e-200\ndim = 2",
+                "uniform family needs a finite positive density rate / (high - low)^2, got rate 2.0 on (0, 1e-200)",
+            ),
         ],
-        ids=["gauss_zero_scale", "dyadic_atoms_underflow", "dyadic_range_too_large"],
+        ids=["gauss_zero_scale", "dyadic_atoms_underflow", "dyadic_range_too_large", "uniform_volume_overflows", "uniform_volume_underflows"],
     )
     def test_mark_laws_that_cannot_be_sampled_exit_2(self, tmp_path, capsys, model, error):
-        # the first two drew only the excluded zero mark and hung in its redraw; np.arange raised on the third
+        # the first two drew only the excluded zero mark and hung in its redraw; np.arange raised on the third;
+        # the uniform box volume raised OverflowError (a message without the bounds) or ZeroDivisionError (exit 1)
         path = tmp_path / "law.cfg"
         path.write_text(
             f"[model]\n{model}\nhorizon = 1.0\n\n[functional]\nlabel = path_eval\nt = 1.0\n\n"

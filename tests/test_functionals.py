@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from lentparticle.configuration import (
     sample_batch,
     sample_configuration,
 )
+from lentparticle import functionals
 from lentparticle.functionals import (
     FunctionalError,
     _fd_steps,
@@ -36,6 +39,7 @@ SYM1 = uniform_model(1.0, rate=2.0, low=-0.9, high=0.9, label="sym1")
 SYM2 = uniform_model(1.0, rate=2.0, low=-0.9, high=0.9, dim=2, label="sym2")
 DRIFT1 = uniform_model(1.0, rate=4.0, low=-0.3, high=0.9, label="drift1")
 DRIFT2 = uniform_model(1.0, rate=4.0, low=-0.3, high=0.9, dim=2, label="drift2")
+M0_ZERO2 = dataclasses.replace(DRIFT2, mean=np.array([0.0, DRIFT2.mean[1]]))  # drift in the second coordinate only
 
 
 def cfg_of(times, marks, horizon=1.0):
@@ -48,6 +52,21 @@ def cfg_of(times, marks, horizon=1.0):
 EX1 = cfg_of([0.2, 0.6], [[0.5], [-0.2]])
 EMPTY1 = Configuration(1.0, 1, [], [], "manual")
 EMPTY2 = Configuration(1.0, 2, [], [], "manual")
+
+
+def triangular_c_per_term(s, z, u):
+    """The triangular coefficient term by term: (2 z0) u0 = 2 (z0 u0) exactly."""
+    out = np.empty(np.broadcast_shapes(z.shape[:-1], u.shape[:-1]) + (3,))
+    out[..., 0] = u[..., 0]
+    out[..., 1] = 2.0 * z[..., 0] * u[..., 0] + u[..., 1]
+    out[..., 2] = z[..., 0] * u[..., 0] + 2.0 * u[..., 1]
+    return out
+
+
+def triangular_configs(model, t):
+    """Three sampled configurations and a fixed one with atoms at 0 and at t."""
+    sampled = [sample_configuration(model, 60, seed) for seed in range(3)]
+    return sampled + [cfg_of([0.0, t], [[0.4, -0.2], [-0.1, 0.7]])]
 
 
 def fd_matrix(F, cfg, t, x):
@@ -390,25 +409,44 @@ class TestJumpSDE:
         assert fd[0, 0] == pytest.approx(1.0, rel=1e-6)
         assert fd[0, 1] == pytest.approx(0.0, abs=1e-9)
 
-    def test_triangular_coefficient_keeps_the_parent_bits(self):
-        # c computes z0 u0 once and doubles it; (2 z0) u0 = 2 (z0 u0) exactly
-        def c_per_term(s, z, u):
-            out = np.empty(np.broadcast_shapes(z.shape[:-1], u.shape[:-1]) + (3,))
-            out[..., 0] = u[..., 0]
-            out[..., 1] = 2.0 * z[..., 0] * u[..., 0] + u[..., 1]
-            out[..., 2] = z[..., 0] * u[..., 0] + 2.0 * u[..., 1]
-            return out
-
+    @pytest.mark.parametrize(
+        "model,t,step,scan_steps",
+        [
+            (DRIFT2, 1.0, 2e-3, None),
+            (DRIFT2, 1.0, 1e-3, None),
+            (DRIFT2, 0.5, 1e-2, None),
+            (DRIFT2, 1.0, 0.05, None),
+            (SYM2, 1.0, 1e-2, None),
+            (M0_ZERO2, 1.0, 2e-3, None),
+            (DRIFT2, 1.0, 1e-2, 7),  # every interval of 8 or more steps crosses a chunk boundary
+        ],
+        ids=["crit1", "crit1_fine", "t_half", "coarse", "drift_free", "m0_zero", "chunked"],
+    )
+    def test_triangular_coefficient_keeps_the_parent_bits(self, monkeypatch, model, t, step, scan_steps):
+        # the preset's prefix-sum drift against make_jump_sde's step loop with a per-term c
+        if scan_steps is not None:
+            monkeypatch.setattr(functionals, "_SDE_SCAN_STEPS", scan_steps)
         spec = diag_squares_gamma(2)
-        for step in (2e-3, 1e-3):
-            F = make_triangular_sde(DRIFT2, (0.1, -0.2, 0.3), 1.0, euler_step=step)
-            G = make_jump_sde(DRIFT2, c_per_term, (0.1, -0.2, 0.3), 1.0, euler_step=step)
-            for seed in range(3):
-                cfg = sample_configuration(DRIFT2, 60, seed)
-                assert F.value(cfg).tobytes() == G.value(cfg).tobytes()
-                got, want = carre_du_champ(F, cfg, spec, mode="fd"), carre_du_champ(G, cfg, spec, mode="fd")
-                assert got.matrix.tobytes() == want.matrix.tobytes()
-                assert got.contributions.tobytes() == want.contributions.tobytes()
+        F = make_triangular_sde(model, (0.1, -0.2, 0.3), t, euler_step=step)
+        G = make_jump_sde(model, triangular_c_per_term, (0.1, -0.2, 0.3), t, euler_step=step)
+        for cfg in triangular_configs(model, t):
+            assert F.value(cfg).tobytes() == G.value(cfg).tobytes()
+            marks = np.stack([cfg.marks, 0.5 * cfg.marks, -cfg.marks])
+            assert F.value_marks(cfg, marks).tobytes() == G.value_marks(cfg, marks).tobytes()
+            got, want = carre_du_champ(F, cfg, spec, mode="fd"), carre_du_champ(G, cfg, spec, mode="fd")
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.contributions.tobytes() == want.contributions.tobytes()
+
+    def test_step_loop_reference_sees_a_one_percent_drift_error(self):
+        # the loop with the preset's c on a 1.01 x mean proxy: the bytewise comparison above can fail
+        spec = diag_squares_gamma(2)
+        proxy = dataclasses.replace(DRIFT2, mean=1.01 * DRIFT2.mean)
+        F = make_triangular_sde(DRIFT2, (0.1, -0.2, 0.3), 1.0, euler_step=2e-3)
+        G = make_jump_sde(proxy, functionals._triangular_c, (0.1, -0.2, 0.3), 1.0, euler_step=2e-3)
+        for cfg in triangular_configs(DRIFT2, 1.0):
+            assert F.value(cfg).tobytes() != G.value(cfg).tobytes()
+            got, want = carre_du_champ(F, cfg, spec, mode="fd"), carre_du_champ(G, cfg, spec, mode="fd")
+            assert got.matrix.tobytes() != want.matrix.tobytes()
 
     def test_euler_first_order_convergence(self):
         # state-linear drift: error halves with the step
@@ -443,6 +481,19 @@ class TestJumpSDE:
     def test_step_validation(self):
         with pytest.raises(FunctionalError):
             make_jump_sde(SYM1, lambda s, z, u: u, [0.0], 1.0, euler_step=0.0)
+
+    def test_step_budget_is_checked_at_construction(self):
+        # built, never run: the cap trips before a step or a scan chunk is allocated
+        cap = functionals._SDE_MAX_STEPS
+        make_jump_sde(SYM1, lambda s, z, u: u, [0.0], 1.0, euler_step=2.0 / cap)
+        make_triangular_sde(DRIFT2, t=0.5, euler_step=1.0 / cap)
+        message = r"^euler_step = 1e-300 needs t / euler_step = 1e\+300 Euler steps, above the cap of 1,000,000$"
+        builders = (partial(make_jump_sde, SYM1, lambda s, z, u: u, [0.0]), partial(make_triangular_sde, DRIFT2, (0.0,) * 3))
+        for build in builders:
+            with pytest.raises(FunctionalError, match=message):
+                build(1.0, euler_step=1e-300)
+            with pytest.raises(FunctionalError, match=r"above the cap"):
+                build(1.0, euler_step=0.5 / cap)
 
 
 class TestIndependentValueOracles:
