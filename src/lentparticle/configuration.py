@@ -48,6 +48,9 @@ class InvalidModelError(ValueError):
 
 # the largest Poisson mean numpy's sampler accepts (its POISSON_LAM_MAX)
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+# expected atoms (rate * horizon * nsamples) per sample_batch call: ten times the largest shipped
+# batch, the 1,000,000-sample orthogonality batches of the scale-1 suite at 5,000,000 expected atoms
+_BATCH_ATOMS_MAX = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -337,10 +340,18 @@ class BatchedConfigurations:
 def sample_batch(model: IntensityModel, nsamples: int, seed: int, *path: int) -> BatchedConfigurations:
     """Draw nsamples configurations from the stream (seed, *path) in flat arrays.
 
-    Times are unsorted within samples.
+    Times are unsorted within samples.  A batch whose expected atom count
+    rate * horizon * nsamples exceeds _BATCH_ATOMS_MAX raises
+    ConfigurationError before anything is drawn.
     """
+    lam = model.rate * model.horizon
+    if not lam * nsamples <= _BATCH_ATOMS_MAX:
+        raise ConfigurationError(
+            f"rate * horizon = {lam:.6g} over nsamples = {nsamples} expects {lam * nsamples:.3g} atoms, "
+            f"above the cap of {_BATCH_ATOMS_MAX:,} atoms per batch"
+        )
     rng = substream(seed, *path)
-    counts = rng.poisson(model.rate * model.horizon, size=nsamples)
+    counts = rng.poisson(lam, size=nsamples)
     total = int(counts.sum())
     times = rng.uniform(0.0, model.horizon, size=total)
     marks = model.sample_marks(rng, total)

@@ -13,10 +13,16 @@ has none and is differentiated by central finite differences.
 All paths are the compensated paths of the truncated model: jump sums minus
 the linear compensator drift t * mean.
 
-Two optional hooks evaluate F many times in one call, each with the bits of
-``value`` on every row: ``value_batch(batch)`` over the samples of a
-``BatchedConfigurations``, and ``value_marks(cfg, marks)`` at cfg's atom
-times under each of K mark arrays ``(K, n, d)``.  Lending an atom and taking
+Three optional hooks evaluate F many times in one call.  Two of them carry
+the bits of ``value`` on every row: ``value_batch(batch)`` over the samples
+of a ``BatchedConfigurations``, and ``value_marks(cfg, marks)`` at cfg's atom
+times under each of K mark arrays ``(K, n, d)``.  The third,
+``lent_jacobians(cfg)``, is the closed derivative of the lent-particle
+formula: the ``(n, m, d)`` Jacobians at every atom of cfg with that atom
+lent back, in one array pass.  The stochastic area and the time integral
+ship it (prefix and suffix sums over the atoms), and their
+``add_derivative`` is its one-row case: the atom ``(t, x)`` is lent to cfg
+by an unchecked insert and its row is read.  Lending an atom and taking
 it back keeps the atom times, so fd Jacobians always come from one stacked
 call on such mark arrays, ``finite_difference_lent_jacobians``: through
 ``value_marks`` where F ships it, a fast path, else through ``value`` on each
@@ -92,6 +98,8 @@ class Functional:
     value_batch: Callable[[BatchedConfigurations], np.ndarray] | None = None
     # optional: the (K, m) values at cfg's atom times under K mark arrays (K, n, d), with value's bits on each row
     value_marks: Callable[[Configuration, np.ndarray], np.ndarray] | None = None
+    # optional: the closed (n, m, d) Jacobians at every atom of cfg with that atom lent back, in one pass
+    lent_jacobians: Callable[[Configuration], np.ndarray] | None = None
 
 
 def batch_values(F: Functional, batch: BatchedConfigurations) -> np.ndarray:
@@ -171,6 +179,17 @@ def _value_rows(value: Callable[[Configuration], np.ndarray], cfg: Configuration
     """value_marks from value: each mark array at cfg's times is a configuration remove_index + add_particle builds."""
     lent = (Configuration._from_arrays_unchecked(cfg.horizon, cfg.dim, cfg.times, x, cfg.intensity_ref) for x in marks)
     return np.array([np.atleast_1d(value(c)) for c in lent], dtype=float)
+
+
+def _lent_row(lent_jacobians: Callable[[Configuration], np.ndarray], cfg: Configuration, t: float, x) -> np.ndarray:
+    """add_derivative as lent_jacobians' one-row case: lend (t, x) to cfg and read that atom's row.
+
+    The insert is unchecked, as in _value_rows, so the excluded zero mark may be lent too.
+    """
+    i = int(np.searchsorted(cfg.times, t))
+    times = np.insert(cfg.times, i, t)
+    marks = np.insert(cfg.marks, i, np.reshape(x, cfg.dim), axis=0)
+    return lent_jacobians(Configuration._from_arrays_unchecked(cfg.horizon, cfg.dim, times, marks, cfg.intensity_ref))[i]
 
 
 def with_fd_derivative(
@@ -326,7 +345,9 @@ def make_stochastic_area(model: IntensityModel, t: float) -> Functional:
 
     Both coordinates are compensated paths; the stochastic integrals expand
     pathwise into jump sums plus the closed-form integral of the
-    piecewise-linear path against the linear drift.
+    piecewise-linear path against the linear drift.  lent_jacobians reads
+    every atom's Jacobian off one prefix sum of the marks; add_derivative
+    is its one-row case.
     """
     _check_window(t, model.horizon)
     if model.dim != 2:
@@ -348,14 +369,20 @@ def make_stochastic_area(model: IntensityModel, t: float) -> Functional:
     def value(cfg: Configuration) -> np.ndarray:
         return value_marks(cfg, cfg.marks[None])[0]
 
-    def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
-        if alpha > t:
-            return np.zeros((3, 2))
-        xt, xa = _path(cfg, mean, [t, alpha], "right")
-        b, a = xt - xa - _path(cfg, mean, alpha, "left")
-        return np.array([[1.0, 0.0], [0.0, 1.0], [a, -b]])
+    def lent_jacobians(cfg: Configuration) -> np.ndarray:
+        # atom i at tau_i <= t: rows [[1, 0], [0, 1], [a, -b]], (b, a) = Y_t - x_i - 2 Y(tau_i-); after t, zero rows
+        n = int(np.searchsorted(cfg.times, t, side="right"))
+        jved = _prefix(cfg.marks[:n])
+        b, a = (jved[n] - t * mean - cfg.marks[:n] - 2.0 * (jved[:n] - cfg.times[:n, None] * mean)).T
+        out = np.zeros((cfg.n_atoms, 3, 2))
+        out[:n, 0, 0] = out[:n, 1, 1] = 1.0
+        out[:n, 2, 0], out[:n, 2, 1] = a, -b
+        return out
 
-    return Functional(f"area(t={t})", 3, 2, value, add_derivative, value_marks=value_marks)
+    return Functional(
+        f"area(t={t})", 3, 2, value, partial(_lent_row, lent_jacobians),
+        value_marks=value_marks, lent_jacobians=lent_jacobians,
+    )
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -387,8 +414,10 @@ def make_time_integral(
     off g(0).  Integration is 8-point Gauss-Legendre per inter-jump segment,
     exact for the shipped polynomial probes, with every segment x node (x mark
     set) in one g call: value_marks integrates K mark arrays at once and value
-    is its one-row case.  The added-particle derivative is int_alpha^t
-    gprime(Y_s + x) ds, all segments in one gprime call.
+    is its one-row case.  Lending atom i back restores the path, so its
+    Jacobian is int_{tau_i}^t gprime(Y_s) ds: lent_jacobians integrates
+    gprime over all segments in one call and sums the segments from each
+    tau_i on by one suffix sum; add_derivative is its one-row case.
     """
     _check_window(t, model.horizon)
     mean = model.mean
@@ -398,30 +427,37 @@ def make_time_integral(
     _broadcast_check(g, [probe], (out_dim,), "g")
     _broadcast_check(gprime, [probe], (out_dim, d), "gprime")
 
-    def integrate(fn: Callable, base: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """sum over segments of int_a^b fn(base - s mean) ds for bases (..., S, d)."""
+    def weighted(fn: Callable, base: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Gauss-Legendre terms of int_a^b fn(base - s mean) ds for bases (..., S, d): shape (..., S, 8, ...), C order."""
         half = 0.5 * (b - a)
         s = (0.5 * (a + b))[:, None] + half[:, None] * _GL8_NODES  # (S, 8)
         vals = fn(base[..., None, :] - s[..., None] * mean)
         lead = base.ndim - 2
         w = (half[:, None] * _GL8_WEIGHTS).reshape(s.shape + (1,) * (vals.ndim - lead - 2))
-        # C order fixes the summation order, so each leading row gets the bits it gets alone
-        return np.ascontiguousarray(w * vals).sum(axis=(lead, lead + 1))
+        return np.ascontiguousarray(w * vals)
 
     def value_marks(cfg: Configuration, marks: np.ndarray) -> np.ndarray:
         a, b, counts = _segments(cfg, 0.0, t)
-        return integrate(g, _prefix(marks)[:, counts], a, b)
+        # C order fixes the summation order, so each leading row gets the bits it gets alone
+        return weighted(g, _prefix(marks)[:, counts], a, b).sum(axis=(1, 2))
 
     def value(cfg: Configuration) -> np.ndarray:
         return value_marks(cfg, cfg.marks[None])[0]
 
-    def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
-        if alpha >= t:
-            return np.zeros((out_dim, d))
-        a, b, counts = _segments(cfg, alpha, t)
-        return integrate(gprime, _prefix(cfg.marks)[counts] + np.asarray(x, dtype=float).reshape(d), a, b)
+    def lent_jacobians(cfg: Configuration) -> np.ndarray:
+        # atom i before t: int_{tau_i}^t gprime(Y_s) ds, the suffix sum from the segment starting at tau_i
+        a, b, counts = _segments(cfg, 0.0, t)
+        per_segment = weighted(gprime, _prefix(cfg.marks)[counts], a, b).sum(axis=1)
+        suffix = np.cumsum(per_segment[::-1], axis=0)[::-1]
+        n = int(np.searchsorted(cfg.times, t))
+        out = np.zeros((cfg.n_atoms, out_dim, d))
+        out[:n] = suffix[np.searchsorted(a, cfg.times[:n])]
+        return out
 
-    return Functional(f"{label}(t={t})", out_dim, d, value, add_derivative, value_marks=value_marks)
+    return Functional(
+        f"{label}(t={t})", out_dim, d, value, partial(_lent_row, lent_jacobians),
+        value_marks=value_marks, lent_jacobians=lent_jacobians,
+    )
 
 
 def make_generalized_ou(model: IntensityModel, x0: float, t: float) -> Functional:

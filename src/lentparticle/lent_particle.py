@@ -5,8 +5,10 @@ over the atoms (t, x) of the configuration: lend the atom back, take the
 added-particle Jacobian D = dF(cfg_without_atom + atom(t, y))/dy at y = x,
 and add D alpha(x) D^T, where alpha is the bottom carre du champ on marks.
 Its a.s. nondegeneracy is the standard density diagnostic.  Closed mode
-takes each D from the functional's add_derivative, atom by atom; fd mode
-takes all of them from one stacked central-difference call.
+takes all n of them from the functional's lent_jacobians in one array pass
+where it ships one (area, time_integral), else from add_derivative atom by
+atom; fd mode takes all of them from one stacked central-difference call.
+Either way the (n, m, d) stack is checked once for shape and finiteness.
 
 The companion gradient sample (the "sharp") realizes the same matrix as a
 conditional second moment: with one auxiliary uniform mark r per atom and
@@ -231,26 +233,34 @@ class CarreDuChamp:
 def _atom_jacobians(F: Functional, cfg: Configuration, mode: str) -> np.ndarray:
     """D at every atom with that atom lent back, shape (n, m, d).
 
-    Closed mode removes each atom and differentiates.  fd mode, and a
+    Closed mode takes them from F.lent_jacobians in one pass where F ships
+    it, else removes each atom and calls add_derivative.  fd mode, and a
     functional without a closed derivative, gets them all from one stacked
     call: through value_marks where F ships it, else through value per row.
+    The (n, m, d) stack is checked once, in every mode: its shape, and the
+    first atom with a non-finite entry.
     """
     if mode not in ("closed", "fd"):
         raise EngineError(f"unknown mode {mode!r}")
-    m, d = F.out_dim, cfg.dim
-    if mode == "closed" and F.has_closed_derivative:
-        atoms = enumerate(zip(cfg.times, cfg.marks))
-        jacs = (np.atleast_2d(F.add_derivative(remove_index(cfg, i), float(t), x)) for i, (t, x) in atoms)
-    else:
+    n, m, d = cfg.n_atoms, F.out_dim, cfg.dim
+    if mode == "fd" or not F.has_closed_derivative:
         jacs = finite_difference_lent_jacobians(F.value_marks or partial(_value_rows, F.value), cfg, m)
-    out = np.empty((cfg.n_atoms, m, d))
-    for i, jac in enumerate(jacs):
-        if jac.shape != (m, d):
-            raise EngineError(f"atom {i}: derivative shape {jac.shape}, expected {(m, d)}")
-        if not np.all(np.isfinite(jac)):
-            raise EngineError(f"atom {i} at (t={cfg.times[i]}, x={cfg.marks[i]}): non-finite derivative {jac}")
-        out[i] = jac
-    return out
+    elif F.lent_jacobians is not None:
+        jacs = np.asarray(F.lent_jacobians(cfg), dtype=float)
+    else:
+        jacs = np.empty((n, m, d))
+        for i, (t, x) in enumerate(zip(cfg.times, cfg.marks)):
+            jac = np.atleast_2d(F.add_derivative(remove_index(cfg, i), float(t), x))
+            if jac.shape != (m, d):
+                raise EngineError(f"atom {i}: derivative shape {jac.shape}, expected {(m, d)}")
+            jacs[i] = jac
+    if jacs.shape != (n, m, d):
+        raise EngineError(f"derivative shape {jacs.shape}, expected {(n, m, d)}")
+    finite = np.isfinite(jacs).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EngineError(f"atom {i} at (t={cfg.times[i]}, x={cfg.marks[i]}): non-finite derivative {jacs[i]}")
+    return jacs
 
 
 @_engine_errstate

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lentparticle import cli
+from lentparticle import cli, configuration
 from lentparticle.cli import EXPERIMENTS, ConfigParseError, main, parse_config
 from lentparticle.configuration import read_configuration, sample_configuration
 from lentparticle.diagnostics import KDE_GRID_2D, dyadic_modulus_limit, kde
@@ -460,6 +460,23 @@ class TestExitCodes:
         assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
         captured = capsys.readouterr()
         assert error in captured.err and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_rate_beyond_the_batch_cap_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # rate = 1e15 once ended in numpy's _ArrayMemoryError, exit 1; no stream may be opened
+        monkeypatch.setattr(configuration, "substream", lambda *a: pytest.fail("a stream was opened"))
+        path = tmp_path / "dense.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 1e15\n\n"
+            "[functional]\nlabel = path_eval\nt = 1.0\n\n[gamma]\nlabel = diag_x2\ndim = 1\n\n"
+            "[experiment]\nkind = gamma\nseed = 1\n"
+        )
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "invalid value (ConfigurationError): rate * horizon = 1e+15 over nsamples = 1 expects 1e+15 atoms, "
+            "above the cap of 50,000,000 atoms per batch\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_gauss_scale_whose_box_overflows_exits_2_with_one_line(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import cubature
 
-from lentparticle import IntegrationWarning, intensities
+from lentparticle import IntegrationWarning, configuration, intensities
 from lentparticle.configuration import (
     Atom,
     BatchedConfigurations,
@@ -74,6 +74,14 @@ class TestSampling:
         counts = sample_batch(model, n, seed=11).counts
         assert abs(counts.mean() - 2.0) <= 4.0 * math.sqrt(2.0 / n)
         assert abs(counts.var(ddof=1) - 2.0) <= 0.02
+
+    def test_batch_beyond_the_atom_cap_raises_before_drawing(self, monkeypatch):
+        # the expected atom count rate * horizon * nsamples is checked before any stream is opened
+        monkeypatch.setattr(configuration, "substream", lambda *a: pytest.fail("a stream was opened"))
+        cap = configuration._BATCH_ATOMS_MAX
+        for model, nsamples in ((uniform_model(1.0, rate=1e15), 1), (uniform_model(2.0, rate=5.0), cap // 5)):
+            with pytest.raises(ConfigurationError, match="^" + re.escape(f"rate * horizon = {model.rate * model.horizon:g} over nsamples = {nsamples} ")):
+                sample_batch(model, nsamples, 0)
 
     def test_deterministic_for_seed(self):
         model = uniform_model(1.0, rate=5.0)

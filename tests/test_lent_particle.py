@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -17,6 +18,9 @@ from lentparticle.configuration import (
     sample_configuration,
 )
 from lentparticle.functionals import (
+    _path,
+    _prefix,
+    _segments,
     build_functional,
     finite_difference_add_derivative,
     finite_difference_lent_jacobians,
@@ -592,6 +596,122 @@ def test_value_marks_rows_are_values_of_the_lent_and_perturbed_configurations(na
     F = build(t)
     assert F.value_marks is not None and F.has_closed_derivative
     _assert_value_marks_rows_are_lent_values(F, model)
+
+
+def _per_atom_area_derivative(model, t):
+    """make_stochastic_area's add_derivative as it was written per atom, kept as the oracle for lent_jacobians."""
+    mean = model.mean
+
+    def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
+        if alpha > t:
+            return np.zeros((3, 2))
+        xt, xa = _path(cfg, mean, [t, alpha], "right")
+        b, a = xt - xa - _path(cfg, mean, alpha, "left")
+        return np.array([[1.0, 0.0], [0.0, 1.0], [a, -b]])
+
+    return add_derivative
+
+
+def _per_atom_time_integral_derivative(model, gprime, t, out_dim):
+    """make_time_integral's add_derivative as it was written per atom, kept as the oracle for lent_jacobians."""
+    mean, d = model.mean, model.dim
+
+    def integrate(fn, base: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum over segments of int_a^b fn(base - s mean) ds for bases (..., S, d)."""
+        half = 0.5 * (b - a)
+        s = (0.5 * (a + b))[:, None] + half[:, None] * functionals._GL8_NODES  # (S, 8)
+        vals = fn(base[..., None, :] - s[..., None] * mean)
+        lead = base.ndim - 2
+        w = (half[:, None] * functionals._GL8_WEIGHTS).reshape(s.shape + (1,) * (vals.ndim - lead - 2))
+        # C order fixes the summation order, so each leading row gets the bits it gets alone
+        return np.ascontiguousarray(w * vals).sum(axis=(lead, lead + 1))
+
+    def add_derivative(cfg: Configuration, alpha: float, x: np.ndarray) -> np.ndarray:
+        if alpha >= t:
+            return np.zeros((out_dim, d))
+        a, b, counts = _segments(cfg, alpha, t)
+        return integrate(gprime, _prefix(cfg.marks)[counts] + np.asarray(x, dtype=float).reshape(d), a, b)
+
+    return add_derivative
+
+
+D1_DENSE = uniform_model(1.0, rate=300.0, low=-0.3, high=0.8, label="oracle_d1_dense")
+D2_DENSE = uniform_model(1.0, rate=300.0, low=-0.3, high=0.8, dim=2, label="oracle_d2_dense")
+
+LENT_CASES = [
+    *[
+        (
+            f"time_integral[{g}]_d{d}",
+            lambda model, t, g=g: build_functional("time_integral", model, g=g, t=t),
+            lambda model, t, F, g=g: _per_atom_time_integral_derivative(model, functionals._TIME_INTEGRAL_PROBES[g][1], t, F.out_dim),
+            d,
+        )
+        for g in ("identity", "square", "cubic")
+        for d in (1, 2)
+    ],
+    ("area", lambda model, t: make_stochastic_area(model, t), lambda model, t, F: _per_atom_area_derivative(model, t), 2),
+]
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5])
+@pytest.mark.parametrize("name,build,oracle,dim", LENT_CASES, ids=[c[0] for c in LENT_CASES])
+def test_lent_jacobians_match_the_per_atom_formulas(name, build, oracle, dim, t):
+    """Every row of lent_jacobians is the per-atom derivative at that atom lent back, within 1e-12 of the largest |J|.
+
+    Configurations at rates 10 and 300, the empty one, and one with atoms at
+    time 0, exactly at t and after t; add_derivative, lent_jacobians' one-row
+    case, matches the per-atom formula at inserted atoms too, the zero mark included.
+    """
+    rng = substream(147, len(name), int(10 * t))
+    # area's rows live at atoms at or before t, time_integral's at atoms before t
+    side = "right" if name == "area" else "left"
+    atoms = 0
+    for model in ((D1, D1_DENSE) if dim == 1 else (D2, D2_DENSE)):
+        F = build(model, t)
+        per_atom = oracle(model, t, F)
+        edge_times = [0.0, 0.3, t, *([0.7, 0.9] if t < 1.0 else [])]
+        edge = Configuration(1.0, dim, edge_times, rng.uniform(-0.3, 0.8, size=(len(edge_times), dim)), "manual")
+        cfgs = [*(sample_configuration(model, 147, i) for i in range(3)), Configuration(1.0, dim, [], [], "manual"), edge]
+        for cfg in cfgs:
+            jacs = F.lent_jacobians(cfg)
+            assert jacs.shape == (cfg.n_atoms, F.out_dim, dim)
+            want = np.array([per_atom(remove_index(cfg, i), float(cfg.times[i]), cfg.marks[i]) for i in range(cfg.n_atoms)])
+            want = want.reshape(jacs.shape)
+            scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
+            assert np.abs(jacs - want).max(initial=0.0) <= 1e-12 * scale
+            assert not jacs[np.searchsorted(cfg.times, t, side=side):].any()
+            atoms += cfg.n_atoms
+            assert lent_particle._atom_jacobians(F, cfg, "closed").tobytes() == jacs.tobytes()
+            for alpha in (0.0, float(rng.uniform(0.0, t)), t, min(t + 0.25, 1.0)):
+                if alpha in cfg.times:
+                    continue  # a second atom at an atom's time is no configuration
+                for x in (rng.uniform(-0.3, 0.8, size=dim), np.zeros(dim)):
+                    got, ref = F.add_derivative(cfg, alpha, x), per_atom(cfg, alpha, x)
+                    assert got.shape == ref.shape == (F.out_dim, dim)
+                    assert np.abs(got - ref).max() <= 1e-12 * max(float(np.abs(ref).max()), 1e-300), (alpha, x)
+    assert atoms > 600
+
+
+def test_a_bad_lent_jacobians_stack_raises_naming_its_shape_or_first_bad_atom():
+    F = make_stochastic_area(D2, 1.0)
+    cfg = sample_configuration(D2, 41, 0)
+    n = cfg.n_atoms
+    assert n > 3
+    short = replace(F, lent_jacobians=lambda c: F.lent_jacobians(c)[1:])
+    with pytest.raises(EngineError, match=rf"^derivative shape \({n - 1}, 3, 2\), expected \({n}, 3, 2\)$"):
+        carre_du_champ(short, cfg, diag_squares_gamma(2))
+
+    def nan_from_atom_2(c):
+        jacs = F.lent_jacobians(c)
+        jacs[2:, 2, 0] = np.nan
+        return jacs
+
+    with pytest.raises(EngineError, match=rf"^atom 2 at \(t={cfg.times[2]}, x="):
+        carre_du_champ(replace(F, lent_jacobians=nan_from_atom_2), cfg, diag_squares_gamma(2))
+    with pytest.raises(EngineError, match="^atom 2 at .*non-finite derivative"):
+        sharp_sample_many(replace(F, lent_jacobians=nan_from_atom_2), cfg, diag_squares_gamma(2), 3, seed=0)
+    # fd mode reads no closed hook
+    assert carre_du_champ(short, cfg, diag_squares_gamma(2), mode="fd").contributions.shape == (n, 3, 3)
 
 
 @pytest.mark.parametrize("label,family", PAIRS, ids=[f"{l}-{f}" for l, f in PAIRS])
