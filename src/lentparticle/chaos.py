@@ -9,7 +9,8 @@ kernels reach every chaos: by polarization a symmetrized product of n
 factors is a finite signed sum of equal-factor kernels.  The exponential
 generating series and the product formula then hold pathwise and serve as
 tests, not definitions.  The same derivative, read as the closed mark
-derivative, makes Gamma[I_i, I_j] the engine's carre_du_champ.
+derivative at lent atom i, n I_(n-1)(cfg minus atom i) grad u(x_i), makes
+Gamma[I_i, I_j] the engine's carre_du_champ, with all n rows in one pass.
 
 The shipped bottom semigroup is keep-or-resample: each mark is kept with
 probability exp(-t) or redrawn from the normalized jump measure, and
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,7 +37,7 @@ from .configuration import (
     sample_batch,
 )
 from .diagnostics import EstimatorReport, _mean_report, _paired_report
-from .functionals import Functional, stack_functionals
+from .functionals import Functional, _lent_row, stack_functionals
 from .lent_particle import GammaSpec, carre_du_champ
 from .rng import chunk_ranges, substream
 
@@ -49,7 +51,6 @@ __all__ = [
     "exp_series_check",
     "orthogonality_mc",
     "chaos_gamma_closed",
-    "chaos_gamma_alternating",
     "product_formula_check",
     "ResamplingSemigroup",
     "pt_apply",
@@ -150,25 +151,45 @@ def multiple_integral_equal(
     return float(_config_integrals(cfg, u, nu_u, n)[1][n])
 
 
+def _leave_one_out_integrals(vals: np.ndarray, nu_u: float, k: int) -> np.ndarray:
+    """I_k of the equal kernel without each atom of one configuration, from its kernel values vals (n,).
+
+    I_k = sum_j k!/(k-j)! (-nu(u))^(k-j) e_j, where e_j without atom i is sum_(a+b=j) e_a(atoms before i)
+    e_b(atoms after i): one cumsum per degree for the prefix and suffix sums, and no division.
+    """
+    n = vals.size
+    # e[a, 0, i]: e_a of the atoms before atom i; e[a, 1, n - 1 - i]: e_a of the atoms after it
+    e = np.zeros((k + 1, 2, n))
+    e[0] = 1.0
+    ends = np.array((vals[:-1], vals[:0:-1]))
+    for a in range(1, k + 1):
+        np.multiply(ends, e[a - 1, :, :-1]).cumsum(axis=1, out=e[a, :, 1:])
+    w = [math.perm(k, j) * (-nu_u) ** (k - j) for j in range(k + 1)]
+    hankel = np.array([w[a:] + [0.0] * a for a in range(k + 1)])  # entry (a, b): w[a + b], zero past k
+    return np.einsum("ai,ab,bi->i", e[:, 0], hankel, e[:, 1, ::-1])
+
+
 def multiple_integral_functional(
     model: IntensityModel, u: MarkFunction, n: int, label: str | None = None
 ) -> Functional:
-    """cfg -> I_n(u tensor n) with the closed mark derivative n I_(n-1)(cfg) grad u(y).
+    """cfg -> I_n(u tensor n); lent_jacobians' row at atom i is n I_(n-1)(cfg minus atom i) grad u(x_i).
 
-    A kernel without a gradient raises ChaosError in closed mode.
+    add_derivative is its one-row case.  A kernel without a gradient raises
+    ChaosError in closed mode once there are atoms; n = 0 has zero rows.
     """
     nu_u = model.nu_integrate(u)
 
     def value(cfg: Configuration) -> np.ndarray:
         return np.array([multiple_integral_equal(cfg, model, u, n, nu_u=nu_u)])
 
-    def add_derivative(cfg: Configuration, t: float, x: np.ndarray) -> np.ndarray:
-        if n == 0:
-            return np.zeros((1, model.dim))
-        lower = multiple_integral_equal(cfg, model, u, n - 1, nu_u=nu_u)
-        return n * lower * u.gradient(np.atleast_2d(x))
+    def lent_jacobians(cfg: Configuration) -> np.ndarray:
+        if n == 0 or cfg.n_atoms == 0:
+            return np.zeros((cfg.n_atoms, 1, model.dim))
+        lower = _leave_one_out_integrals(u(cfg.marks), nu_u, n - 1)
+        return (n * lower)[:, None, None] * u.gradient(cfg.marks)[:, None, :]
 
-    return Functional(label or f"I_{n}[{u.label}]", 1, model.dim, value, add_derivative)
+    label = label or f"I_{n}[{u.label}]"
+    return Functional(label, 1, model.dim, value, partial(_lent_row, lent_jacobians), lent_jacobians=lent_jacobians)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +297,6 @@ def orthogonality_mc(
 # chaos carre du champ
 # ---------------------------------------------------------------------------
 
-def _gamma_uv(spec: GammaSpec, u: MarkFunction, v: MarkFunction, marks: np.ndarray) -> np.ndarray:
-    return np.einsum("ai,aij,aj->a", u.gradient(marks), spec.alpha(marks), v.gradient(marks))
-
-
 def chaos_gamma_closed(
     cfg: Configuration,
     model: IntensityModel,
@@ -297,9 +314,7 @@ def chaos_gamma_closed(
         Gamma = i j sum_atoms I_{i-1}(u; w minus atom) I_{j-1}(v; w minus atom)
                           gamma[u, v](mark),
 
-    the off-diagonal entry of carre_du_champ on the stacked pair.  The
-    alternating polynomial form over the full configuration (see
-    chaos_gamma_alternating) telescopes to the same value.
+    the off-diagonal entry of carre_du_champ on the stacked pair.
     """
     if max(i, j) > MAX_DEGREE or min(i, j) < 1:
         raise ChaosError("degrees must lie in 1..8")
@@ -307,41 +322,6 @@ def chaos_gamma_closed(
         [multiple_integral_functional(model, u, i), multiple_integral_functional(model, v, j)]
     )
     return float(carre_du_champ(pair, cfg, spec).matrix[0, 1])
-
-
-def chaos_gamma_alternating(
-    cfg: Configuration,
-    model: IntensityModel,
-    u: MarkFunction,
-    v: MarkFunction,
-    i: int,
-    j: int,
-    spec: GammaSpec,
-) -> float:
-    """The same matrix entry via the alternating sums over the full configuration.
-
-    Gamma = i! j! sum_atoms S_i(a) S_j(a) gamma[u, v](mark_a) with
-    S_i(a) = sum_{k=1}^{i} (-1)^k u(mark_a)^{k-1} I_{i-k}(full) / (i-k)!.
-    Equal to chaos_gamma_closed by telescoping; kept as an independent
-    evaluation route for tests.
-    """
-    if cfg.n_atoms == 0:
-        return 0.0
-    nu_u = model.nu_integrate(u)
-    nu_v = model.nu_integrate(v)
-    uvals, ufull = _config_integrals(cfg, u, nu_u, i - 1)
-    vvals, vfull = _config_integrals(cfg, v, nu_v, j - 1)
-
-    def s_poly(vals: np.ndarray, full: np.ndarray, deg: int) -> np.ndarray:
-        acc = np.zeros(vals.size)
-        for k in range(1, deg + 1):
-            acc += (-1.0) ** k * vals ** (k - 1) * full[deg - k] / math.factorial(deg - k)
-        return acc
-
-    gam = _gamma_uv(spec, u, v, cfg.marks)
-    su = s_poly(uvals, ufull, i)
-    sv = s_poly(vvals, vfull, j)
-    return float(math.factorial(i) * math.factorial(j) * np.sum(su * sv * gam))
 
 
 # ---------------------------------------------------------------------------

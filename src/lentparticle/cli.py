@@ -40,6 +40,7 @@ from .chaos import (
     product_formula_check,
 )
 from .configuration import (
+    _BATCH_ATOMS_MAX,
     Configuration,
     ConfigurationError,
     InvalidModelError,
@@ -461,7 +462,8 @@ def _run_rajchman(p, model, sections, **_):
 #:            default; a key's type is its default's (None: an optional number),
 #:            and the keys ending in "out" name artifact files
 #:   low      the least value of a count or threshold (every float must also be finite)
-#:   high     the greatest value of a fraction or a count
+#:   high     the greatest value of a fraction or a count; every count's is one budget, the batch
+#:            sampler's atom cap _BATCH_ATOMS_MAX, so an infeasible count exits 2 before it runs
 #:   choices  the allowed values of each named-choice key (others: exit 3)
 EXPERIMENTS: dict[str, dict] = {
     "gamma": {
@@ -480,14 +482,16 @@ EXPERIMENTS: dict[str, dict] = {
             "out": "survey.csv", "summary_out": "survey.json",
         },
         "low": {"nsamples": 1, "tolerance": 0, "min_frequency": 0},
-        "high": {"min_frequency": 1},
+        "high": {"nsamples": _BATCH_ATOMS_MAX, "min_frequency": 1},
     },
     "identity": {
         "run": _run_identity,
         "params": {"scale": 1.0, "min_pass_fraction": 0.95, "out": "identity.json"},
         # scale 0: the floor sample count of every check
         "low": {"scale": 0, "min_pass_fraction": 0},
-        "high": {"min_pass_fraction": 1},
+        # the suite's largest batch, the orthogonality group's 1,000,000 * scale samples at rate 5,
+        # expects 5,000,000 * scale atoms
+        "high": {"scale": _BATCH_ATOMS_MAX / 5_000_000, "min_pass_fraction": 1},
     },
     "chaos": {
         "run": _run_chaos,
@@ -498,6 +502,7 @@ EXPERIMENTS: dict[str, dict] = {
         },
         # nsamples 2: one sample has no standard error, so no orthogonality cell could pass
         "low": {"nconfigs": 0, "ngamma": 0, "nsamples": 2, "series_tol": 0, "product_tol": 0, "gamma_tol": 0},
+        "high": {"nconfigs": _BATCH_ATOMS_MAX, "ngamma": _BATCH_ATOMS_MAX, "nsamples": _BATCH_ATOMS_MAX},
         "choices": {"u": KERNELS, "v": KERNELS},
     },
     "density": {
@@ -508,6 +513,7 @@ EXPERIMENTS: dict[str, dict] = {
             "out": "density_kde.csv", "ecf_out": "density_ecf.csv", "summary_out": "density.json",
         },
         "low": {"nsamples": 1},
+        "high": {"nsamples": _BATCH_ATOMS_MAX},
     },
     "rajchman": {
         "run": _run_rajchman,
@@ -519,7 +525,7 @@ EXPERIMENTS: dict[str, dict] = {
         },
         "low": {"k_max": 0, "nsamples": 0, "tolerance": 0},
         # u = 2^k pi overflows to inf at k = 1023 and raises at 1024
-        "high": {"k_max": 1022},
+        "high": {"k_max": 1022, "nsamples": _BATCH_ATOMS_MAX},
     },
 }
 
@@ -560,7 +566,7 @@ def _experiment_params(sec: Section, seed_flag: int | None) -> tuple[str, dict]:
             if key in low and value < low[key]:
                 raise ConfigParseError(f"{key} must be >= {low[key]}, got {value}", *at)
             if key in high and value > high[key]:
-                raise ConfigParseError(f"{key} must be <= {high[key]}, got {value}", *at)
+                raise ConfigParseError(f"{key} must be <= {high[key]}, got {given[key][0]}", *at)
             if key.endswith("out") and (value in ("", ".", "..") or "/" in value or os.sep in value):
                 raise ConfigParseError(f"{key} must be a file name in --out-dir, got {value!r}", *at)
         params[key] = value

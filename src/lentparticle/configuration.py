@@ -347,7 +347,7 @@ def sample_batch(model: IntensityModel, nsamples: int, seed: int, *path: int) ->
     lam = model.rate * model.horizon
     if not lam * nsamples <= _BATCH_ATOMS_MAX:
         raise ConfigurationError(
-            f"rate * horizon = {lam:.6g} over nsamples = {nsamples} expects {lam * nsamples:.3g} atoms, "
+            f"rate * horizon = {lam:.6g} over nsamples = {nsamples:.3g} expects {lam * nsamples:.3g} atoms, "
             f"above the cap of {_BATCH_ATOMS_MAX:,} atoms per batch"
         )
     rng = substream(seed, *path)

@@ -19,8 +19,8 @@ of a ``BatchedConfigurations``, and ``value_marks(cfg, marks)`` at cfg's atom
 times under each of K mark arrays ``(K, n, d)``.  The third,
 ``lent_jacobians(cfg)``, is the closed derivative of the lent-particle
 formula: the ``(n, m, d)`` Jacobians at every atom of cfg with that atom
-lent back, in one array pass.  The stochastic area and the time integral
-ship it (prefix and suffix sums over the atoms), and their
+lent back, in one array pass.  area, time_integral and the chaos ``I_n``
+ship it (prefix and suffix sums), a stack when all its parts do, and their
 ``add_derivative`` is its one-row case: the atom ``(t, x)`` is lent to cfg
 by an unchecked insert and its row is read.  Lending an atom and taking
 it back keeps the atom times, so fd Jacobians always come from one stacked
@@ -48,6 +48,7 @@ leading K axis), ``_segments`` (the inter-jump segments of an interval) and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -204,7 +205,7 @@ def with_fd_derivative(
 
 
 def stack_functionals(fs: Sequence[Functional], label: str | None = None) -> Functional:
-    """Concatenate functionals into one vector-valued functional."""
+    """Concatenate functionals into one vector-valued functional, with lent_jacobians when every part ships one."""
     if len({f.mark_dim for f in fs}) != 1:
         raise FunctionalError("stacked functionals must share the mark dimension")
     m = sum(f.out_dim for f in fs)
@@ -215,8 +216,11 @@ def stack_functionals(fs: Sequence[Functional], label: str | None = None) -> Fun
     def add_derivative(cfg: Configuration, t: float, x: np.ndarray) -> np.ndarray:
         return np.vstack([f.add_derivative(cfg, t, x) for f in fs])
 
+    parts = [f.lent_jacobians for f in fs]
+    lent = None if None in parts else lambda cfg: np.concatenate([p(cfg) for p in parts], axis=1)
     closed = all(f.has_closed_derivative for f in fs)
-    return Functional(label or "+".join(f.label for f in fs), m, fs[0].mark_dim, value, add_derivative, closed)
+    label = label or "+".join(f.label for f in fs)
+    return Functional(label, m, fs[0].mark_dim, value, add_derivative, closed, lent_jacobians=lent)
 
 
 def compose_functional(
@@ -470,6 +474,8 @@ def make_generalized_ou(model: IntensityModel, x0: float, t: float) -> Functiona
     _check_window(t, model.horizon)
     if model.dim != 2:
         raise FunctionalError("generalized O-U needs mark dimension 2 (xi, eta jumps)")
+    if not (isinstance(x0, numbers.Real) and math.isfinite(x0)):
+        raise FunctionalError(f"gou x0 must be a finite number, got {x0!r}")
     mean = model.mean
     mu_xi, mu_eta = float(mean[0]), float(mean[1])
 

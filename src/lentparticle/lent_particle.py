@@ -6,8 +6,9 @@ added-particle Jacobian D = dF(cfg_without_atom + atom(t, y))/dy at y = x,
 and add D alpha(x) D^T, where alpha is the bottom carre du champ on marks.
 Its a.s. nondegeneracy is the standard density diagnostic.  Closed mode
 takes all n of them from the functional's lent_jacobians in one array pass
-where it ships one (area, time_integral), else from add_derivative atom by
-atom; fd mode takes all of them from one stacked central-difference call.
+where it ships one (area, time_integral, the chaos I_n and their stacks),
+else from add_derivative atom by atom; fd mode takes all of them from one
+stacked central-difference call.
 Either way the (n, m, d) stack is checked once for shape and finiteness.
 
 The companion gradient sample (the "sharp") realizes the same matrix as a

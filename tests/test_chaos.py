@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lentparticle.chaos import (
+    MAX_DEGREE,
     ChaosError,
     MarkFunction,
     ResamplingSemigroup,
-    chaos_gamma_alternating,
     chaos_gamma_closed,
     exp_series_check,
     mehler_exponential_check,
@@ -24,7 +25,7 @@ from lentparticle.chaos import (
     pt_symmetry_check,
     second_quantization_check,
 )
-from lentparticle.chaos import _lend_integrals
+from lentparticle.chaos import _leave_one_out_integrals, _lend_integrals
 from lentparticle.configuration import Configuration, remove_index, sample_batch, sample_configuration
 from lentparticle.diagnostics import EstimatorReport
 from lentparticle.functionals import finite_difference_add_derivative, stack_functionals
@@ -34,6 +35,7 @@ from lentparticle.rng import substream
 
 U_ID = MarkFunction(lambda xs: xs[:, 0], sup_bound=1.0, grad=lambda xs: np.ones((len(xs), 1)), label="x")
 V_SQ = MarkFunction(lambda xs: xs[:, 0] ** 2, sup_bound=1.0, grad=lambda xs: 2.0 * xs[:, 0:1], label="x^2")
+COS = MarkFunction(lambda xs: np.cos(xs[:, 0]), sup_bound=1.0, grad=lambda xs: -np.sin(xs[:, 0:1]), label="cos")
 
 # nu(x) = 0.1 on this model
 MODEL01 = uniform_model(1.0, rate=1.0, low=0.0, high=0.2, label="nu01")
@@ -100,6 +102,28 @@ def _exact_integrals(vals, nu_u, n):
             e_abs[k] += abs(v) * e_abs[k - 1]
     terms = lambda j, x, es: sum(math.comb(j, k) * x ** (j - k) * math.factorial(k) * es[k] for k in range(j + 1))
     return [terms(j, -nu, e) for j in range(n + 1)], [terms(j, abs(nu), e_abs) for j in range(n + 1)]
+
+
+def _exact_leave_one_out(vals, nu_u, n):
+    """Per atom, I_0..I_n of the other atoms in exact rationals, and the same sums with every term made positive.
+
+    All atoms are lent from I_k = (-nu(u))^k, then each is taken back by undoing
+    the lend rule exactly: I_k(others) = I_k(all) - k v I_(k-1)(others).
+    """
+    vals = [Fraction(v) for v in vals.tolist()]
+    full = [[(-Fraction(nu_u)) ** k for k in range(n + 1)], [abs(Fraction(nu_u)) ** k for k in range(n + 1)]]
+    for v in vals:
+        for rows, x in zip(full, (v, abs(v))):
+            for k in range(n, 0, -1):
+                rows[k] += k * x * rows[k - 1]
+    out = []
+    for v in vals:
+        others = ([Fraction(1)], [Fraction(1)])
+        for rows, whole, x in zip(others, full, (v, abs(v))):
+            for k in range(1, n + 1):
+                rows.append(whole[k] - k * x * rows[k - 1])
+        out.append(others)
+    return out
 
 
 def _factorial_measure(cfg, u, k):
@@ -272,11 +296,18 @@ class TestChaosGamma:
         assert chaos_gamma_closed(EMPTY, MODEL01, U_ID, V_SQ, 2, 2, SPEC) == 0.0
 
     def test_alternating_form_telescopes(self):
+        # the one-pass Gamma against the per-atom loop that lends the other atoms again at each atom
+        def relend(u, n):
+            F = multiple_integral_functional(SYM, u, n)
+            add_derivative = lambda cfg, t, x: n * multiple_integral_equal(cfg, SYM, u, n - 1) * u.gradient(np.atleast_2d(x))
+            return replace(F, add_derivative=add_derivative, lent_jacobians=None)
+
         cfg = sample_configuration(SYM, 8)
+        assert cfg.n_atoms > 3
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 a = chaos_gamma_closed(cfg, SYM, U_ID, V_SQ, i, j, SPEC)
-                b = chaos_gamma_alternating(cfg, SYM, U_ID, V_SQ, i, j, SPEC)
+                b = carre_du_champ(stack_functionals([relend(U_ID, i), relend(V_SQ, j)]), cfg, SPEC).matrix[0, 1]
                 assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
     def test_against_fd_lent_particle(self):
@@ -301,10 +332,7 @@ class TestChaosGamma:
     def test_lent_derivative_matches_finite_differences(self, n):
         # D_x I_n = n I_(n-1): the closed mark Jacobian at every lent atom
         # against central differences of the value, criterion 1's 1e-6 relative
-        cos = MarkFunction(
-            lambda xs: np.cos(xs[:, 0]), sup_bound=1.0, grad=lambda xs: -np.sin(xs[:, 0:1]), label="cos"
-        )
-        for u in (U_ID, V_SQ, cos):
+        for u in (U_ID, V_SQ, COS):
             F = multiple_integral_functional(SYM, u, n)
             assert F.has_closed_derivative
             for seed in range(8):
@@ -324,8 +352,55 @@ class TestChaosGamma:
         cfg = sample_configuration(SYM, 8)
         with pytest.raises(ChaosError, match="no gradient"):
             carre_du_champ(F, cfg, SPEC, mode="closed")
+        # no atom, or degree 0: zero rows, and the gradient is never asked for
+        assert F.lent_jacobians(EMPTY).shape == (0, 1, 1)
+        assert carre_du_champ(F, EMPTY, SPEC).matrix.tolist() == [[0.0]]
+        zeroth = multiple_integral_functional(SYM, plain, 0)
+        assert zeroth.lent_jacobians(cfg).tolist() == [[[0.0]]] * cfg.n_atoms
+        assert zeroth.add_derivative(cfg, 0.5, np.array([0.3])).tolist() == [[0.0]]
         fd = carre_du_champ(F, cfg, SPEC, mode="fd").matrix[0, 0]
         assert fd == pytest.approx(chaos_gamma_closed(cfg, SYM, U_ID, U_ID, 2, 2, SPEC), rel=1e-6)
+
+
+@pytest.mark.parametrize("rate", [4.0, 20.0, 60.0])
+def test_chaos_lent_jacobians_match_exact_leave_one_out(rate):
+    """Row i of I_n's lent_jacobians is n I_(n-1)(cfg minus atom i) grad u(x_i), against exact rationals.
+
+    The exact values start from the float kernel values, gradients and nu(u),
+    so the only error is the pass's rounding.  I_(n-1) of the others cancels
+    (its terms alternate in sign), so the bound is 1e-14 of the row's scale,
+    the same sum with every term made positive: the pass and the per-atom
+    lend loop both measured under 4e-16 of it, while their error against
+    1 + max|exact| reached 1.3e-8 and 5e-9 at degree 8, rate 60.  Kernels x,
+    x^2 and cos, degrees 1..8, ten sampled configurations, the empty one and one atom.
+    """
+    model = uniform_model(1.0, rate=rate, low=-1.0, high=1.0)
+    cfgs = [sample_configuration(model, 37, i) for i in range(10)] + [EMPTY, Configuration(1.0, 1, [0.4], [[0.7]], "one")]
+    fewer = 0
+    for u in (U_ID, V_SQ, COS):
+        nu = model.nu_integrate(u)
+        fs = [multiple_integral_functional(model, u, n) for n in range(1, MAX_DEGREE + 1)]
+        for cfg in cfgs:
+            exact = _exact_leave_one_out(u(cfg.marks), nu, MAX_DEGREE - 1)
+            grad = u.gradient(cfg.marks)[:, 0] if cfg.n_atoms else np.zeros(0)
+            for n, F in enumerate(fs, start=1):
+                rows = F.lent_jacobians(cfg)
+                assert rows.shape == (cfg.n_atoms, 1, 1)
+                fewer += cfg.n_atoms < n
+                for got, (lower, scale), g in zip(rows[:, 0, 0], exact, grad.tolist()):
+                    want = n * lower[n - 1] * Fraction(g)
+                    assert abs(Fraction(float(got)) - want) <= Fraction(1e-14) * n * scale[n - 1] * abs(Fraction(g))
+                    assert want != 0 or got == 0.0
+    assert fewer > 0
+
+
+def test_leave_one_out_integrals_of_too_few_atoms_are_exactly_zero():
+    # nu(u) = 0 and fewer other atoms than the degree: I_k = k! e_k(others) = 0, with no rounding left over
+    vals = np.cos(np.arange(1.0, 6.0))
+    for k in range(5, MAX_DEGREE):
+        assert _leave_one_out_integrals(vals, 0.0, k).tolist() == [0.0] * 5
+    lower = _leave_one_out_integrals(vals, 0.0, 4)
+    np.testing.assert_allclose(lower, [24.0 * np.prod(np.delete(vals, i)) for i in range(5)], rtol=1e-15)
 
 
 class TestBatchIntegrals:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lentparticle import cli, configuration
+from lentparticle import chaos, cli, configuration, suite
 from lentparticle.cli import EXPERIMENTS, ConfigParseError, main, parse_config
 from lentparticle.configuration import read_configuration, sample_configuration
 from lentparticle.diagnostics import KDE_GRID_2D, dyadic_modulus_limit, kde
@@ -598,9 +598,19 @@ class TestExitCodes:
                 "[model]\nfamily = dyadic\nhorizon = 1.0\n\n[experiment]\nkind = rajchman\nseed = 1\nk_max = 1024\n",
                 "line 8, column 1: k_max must be <= 1022, got 1024",
             ),
+            (
+                "[experiment]\nkind = identity\nseed = 1\nscale = 1e308\n",
+                "line 4, column 1: scale must be <= 10.0, got 1e+308",
+            ),
+            (
+                "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2.0\n\n"
+                "[experiment]\nkind = chaos\nseed = 1\nngamma = 1e308\n",
+                "line 9, column 1: ngamma must be <= 50000000, got 1e+308",
+            ),
         ],
         ids=["gamma_negative_tol", "survey_nan_tol", "survey_frequency_above_1", "identity_negative_fraction",
-             "chaos_infinite_tol", "chaos_negative_tol", "rajchman_k_max_overflow"],
+             "chaos_infinite_tol", "chaos_negative_tol", "rajchman_k_max_overflow", "identity_scale_budget",
+             "chaos_count_budget"],
     )
     def test_thresholds_out_of_range_exit_2(self, tmp_path, capsys, text, error):
         path = tmp_path / "threshold.cfg"
@@ -838,15 +848,14 @@ def test_readme_library_example_prints_its_commented_values():
 # ---------------------------------------------------------------------------
 
 SWEEP_VALUES = ("0", "-1", "nan", "inf", "1e308", "-1e-300", '"x"', "[1]")
-# valid but infeasible: a count or scale of 1e308 runs for ever
-SWEEP_INFEASIBLE = {("experiment", key, "1e308") for key in ("nsamples", "nconfigs", "ngamma", "scale")}
 # a zero tolerance asks for exact agreement, so the kind's pass rule may fail (exit 1)
 SWEEP_MAY_FAIL = {("experiment", key, "0") for key in ("tolerance", "series_tol", "product_tol", "gamma_tol")}
 SWEEP_MODEL_KEYS = {"uniform": {"rate": "2.0"}, "gauss": {"rate": "2.0"}, "dyadic": {"n_max": "12"}}
 SWEEP_MODEL_DIM = {"polar": 2, "curve": 2}
 SWEEP_FUNCTIONAL_KEYS = {"nearest": {}, "gou": {"x0": "0.5", "t": "1.0"}, "jump_sde": {"t": "1.0", "euler_step": "0.05"}}
 SWEEP_KIND_KEYS = {
-    "gamma": {},
+    # seed 2 draws atoms on every swept model (seed 1 draws none on uniform rate 2), so values reach the engine
+    "gamma": {"seed": "2"},
     "survey": {"nsamples": "3"},
     "identity": {"scale": "0"},
     "chaos": {"nconfigs": "1", "ngamma": "1", "nsamples": "1000"},
@@ -903,6 +912,43 @@ def test_sweep_covers_every_registry_entry():
     assert swept == {(section, entry) for section, registry in registries.items() for entry in registry}
 
 
+def test_every_count_and_scale_is_capped_by_the_one_budget_above_its_default():
+    # a count of 1e308 exits 2 before anything is allocated or looped
+    budget = configuration._BATCH_ATOMS_MAX
+    capped = 0
+    for kind, spec in EXPERIMENTS.items():
+        for key, default in spec["params"].items():
+            if key == "scale" or (type(default) is int and key != "k_max"):
+                assert spec["high"][key] == (budget / 5_000_000 if key == "scale" else budget), (kind, key)
+                assert default <= spec["high"][key]
+                capped += 1
+    assert capped == 7
+    # the benchmark's suite scale 0.25 and criterion 8's scale 1 sit below the cap
+    assert EXPERIMENTS["identity"]["high"]["scale"] >= 1.0
+
+
+def test_identity_scale_cap_fills_the_suites_largest_batch_to_the_budget(monkeypatch):
+    # the orthogonality group's batch at the cap expects exactly the batch sampler's atom budget, so no
+    # scale the parser accepts makes a suite check trip the sampler's cap after earlier checks have run
+    expected = []
+
+    def record(model, nsamples, seed, *path):
+        expected.append(model.rate * model.horizon * nsamples)
+        raise StopIteration
+
+    monkeypatch.setattr(chaos, "sample_batch", record)
+    with pytest.raises(StopIteration):
+        suite._orthogonality_group(0, EXPERIMENTS["identity"]["high"]["scale"])
+    assert expected == [configuration._BATCH_ATOMS_MAX]
+
+
+def test_sweep_gamma_cases_run_on_configurations_with_atoms():
+    for sections in {repr(secs): secs for _, _, _, secs in SWEEP_CASES if secs["experiment"]["kind"] == "gamma"}.values():
+        text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+        built = cli._build_from_sections(parse_config(text))
+        assert sample_configuration(built["model"], seed=int(sections["experiment"]["seed"])).n_atoms > 0, sections
+
+
 @pytest.mark.parametrize(
     "section,entry,key,sections", SWEEP_CASES, ids=[f"{sec}-{entry}-{key}" for sec, entry, key, _ in SWEEP_CASES]
 )
@@ -910,8 +956,6 @@ def test_malformed_values_exit_0_2_or_3_with_at_most_one_line(tmp_path, capsys, 
     """No value escapes as a traceback or exit 1, and none prints more than one line (warnings included)."""
     path = tmp_path / "sweep.cfg"
     for value in SWEEP_VALUES:
-        if (section, key, value) in SWEEP_INFEASIBLE:
-            continue
         swept = {name: dict(keys) for name, keys in sections.items()}
         swept[section][key] = value
         path.write_text("\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())

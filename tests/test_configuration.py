@@ -80,7 +80,7 @@ class TestSampling:
         monkeypatch.setattr(configuration, "substream", lambda *a: pytest.fail("a stream was opened"))
         cap = configuration._BATCH_ATOMS_MAX
         for model, nsamples in ((uniform_model(1.0, rate=1e15), 1), (uniform_model(2.0, rate=5.0), cap // 5)):
-            with pytest.raises(ConfigurationError, match="^" + re.escape(f"rate * horizon = {model.rate * model.horizon:g} over nsamples = {nsamples} ")):
+            with pytest.raises(ConfigurationError, match="^" + re.escape(f"rate * horizon = {model.rate * model.horizon:g} over nsamples = {nsamples:.3g} ")):
                 sample_batch(model, nsamples, 0)
 
     def test_deterministic_for_seed(self):

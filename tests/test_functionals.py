@@ -314,6 +314,17 @@ class TestGeneralizedOU:
             x = rng.uniform(-0.3, 0.9, size=2)
             assert_derivative_matches_fd(F, cfg, t, x)
 
+    @pytest.mark.parametrize("x0", ["x", [1], None, math.nan, math.inf])
+    def test_x0_must_be_a_finite_number(self, x0):
+        with pytest.raises(FunctionalError, match="^gou x0 must be a finite number, got "):
+            make_generalized_ou(SYM2, x0=x0, t=1.0)
+
+    def test_an_integer_x0_keeps_its_label_and_bits(self):
+        cfg = sample_configuration(DRIFT2, 2)
+        whole, point = make_generalized_ou(DRIFT2, x0=1, t=1.0), make_generalized_ou(DRIFT2, x0=1.0, t=1.0)
+        assert whole.label == "gou(x0=1,t=1.0)"
+        assert cfg.n_atoms and whole.value(cfg).tobytes() == point.value(cfg).tobytes()
+
 
 class TestRunningSup:
     def test_zero_path(self):

@@ -760,6 +760,29 @@ def _fd_configurations(model):
     ]
 
 
+def test_closed_engine_lends_atom_by_atom_only_where_no_lent_jacobians_ship(monkeypatch):
+    """pair_doleans ships none, so closed mode calls remove_index once per atom; a stack of I_n ships the
+    parts' rows side by side and calls it never; a stack mixing I_n with doleans ships none."""
+    lent = []
+    remove = lent_particle.remove_index
+    monkeypatch.setattr(lent_particle, "remove_index", lambda cfg, i: lent.append(i) or remove(cfg, i))
+    cfg, spec = sample_configuration(D1, 41, 0), diag_squares_gamma(1)
+    assert cfg.n_atoms > 3
+    parts = [multiple_integral_functional(D1, _KERNEL_U, 2), multiple_integral_functional(D1, _KERNEL_V, 3)]
+    cases = [
+        (make_pair_doleans(D1, 1.0), cfg.n_atoms),
+        (stack_functionals(parts), 0),
+        (stack_functionals([parts[0], make_doleans(D1, 1.0)]), cfg.n_atoms),
+    ]
+    for F, calls in cases:
+        lent.clear()
+        carre_du_champ(F, cfg, spec)
+        assert lent == list(range(calls))
+        assert (F.lent_jacobians is None) == (calls > 0)
+    want = np.concatenate([f.lent_jacobians(cfg) for f in parts], axis=1)
+    assert cases[1][0].lent_jacobians(cfg).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name,build,family", FD_CASES, ids=[c[0] for c in FD_CASES])
 def test_fd_engine_makes_one_stacked_call_and_no_per_atom_lend(monkeypatch, name, build, family):
     """fd mode lends no atom one at a time: no remove_index, add_particle or per-atom fd Jacobian."""
