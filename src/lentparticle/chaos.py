@@ -47,7 +47,6 @@ __all__ = [
     "multiple_integral_equal",
     "multiple_integral_functional",
     "multiple_integral_batch",
-    "ExpSeriesResult",
     "exp_series_check",
     "orthogonality_mc",
     "chaos_gamma_closed",
@@ -196,38 +195,29 @@ def multiple_integral_functional(
 # pathwise algebraic identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpSeriesResult:
-    residual: float
-    tail_scale: float  # (t sup|u|)^(n_max+1) e^(|t| nu(|u|))
-    n_max: int
-
-
 def exp_series_check(
     cfg: Configuration,
     model: IntensityModel,
     u: MarkFunction,
     t: float,
     n_max: int,
-) -> ExpSeriesResult:
+) -> float:
     """Pathwise residual of the exponential generating series of the chaos.
 
     prod_atoms (1 + t u) * exp(-t nu(u)) is compared with the partial sum
     sum_{n<=n_max} t^n/n! I_n(u tensor n); the residual is bounded by the
-    Taylor tail scale returned alongside.
+    Taylor tail (|t| sup|u|)^(n_max+1) e^(|t| nu(|u|)).
     """
     radius = abs(t) * u.sup_bound
     if radius >= 0.5:
         raise ChaosError(f"series radius violated: |t| sup|u| = {radius} >= 1/2")
     nu_u = model.nu_integrate(u)
-    nu_abs = model.nu_integrate(lambda xs: np.abs(u(xs)))
     vals, full = _config_integrals(cfg, u, nu_u, n_max)
     lhs = float(np.prod(1.0 + t * vals)) * math.exp(-t * nu_u)
     rhs = 0.0
     for n in range(0, n_max + 1):
         rhs += t**n / math.factorial(n) * float(full[n])
-    scale = radius ** (n_max + 1) * math.exp(abs(t) * nu_abs)
-    return ExpSeriesResult(residual=abs(lhs - rhs), tail_scale=scale, n_max=n_max)
+    return abs(lhs - rhs)
 
 
 def product_formula_check(
@@ -276,21 +266,29 @@ def orthogonality_mc(
     model: IntensityModel,
     u: MarkFunction,
     v: MarkFunction,
-    mdeg: int,
-    ndeg: int,
+    degrees: tuple[int, ...],
     nsamples: int,
     seed: int,
-) -> EstimatorReport:
-    """Monte Carlo E[I_m(u...) I_n(v...)] against delta_mn n! <u, v>^n."""
-    if max(mdeg, ndeg) > MAX_DEGREE:
+) -> list[EstimatorReport]:
+    """Monte Carlo E[I_m(u...) I_n(v...)] against delta_mn n! <u, v>^n, one report per cell of degrees x degrees.
+
+    Cells run m-major, and cell (m, n) lends its own batch of nsamples from the stream seed + 3m + n,
+    so the cells are independent.  nu(u), nu(v) and <u, v> = nu(uv) are integrated once per grid.
+    """
+    if max(degrees) > MAX_DEGREE:
         raise ChaosError(f"degrees must be <= {MAX_DEGREE}")
-    batch = sample_batch(model, nsamples, seed)
     nu_u = model.nu_integrate(u)
     nu_v = model.nu_integrate(v)
-    prod = multiple_integral_batch(batch, u, nu_u, mdeg) * multiple_integral_batch(batch, v, nu_v, ndeg)
     inner = model.nu_integrate(lambda xs: u(xs) * v(xs))
-    ref = math.factorial(ndeg) * inner**ndeg if mdeg == ndeg else 0.0
-    return _mean_report(f"orthogonality[m={mdeg},n={ndeg}]", prod, ref)
+    reports = []
+    for m in degrees:
+        for n in degrees:
+            batch = sample_batch(model, nsamples, seed + 3 * m + n)
+            prod = multiple_integral_batch(batch, u, nu_u, m) * multiple_integral_batch(batch, v, nu_v, n)
+            ref = math.factorial(n) * inner**n if m == n else 0.0
+            reports.append(_mean_report(f"orthogonality[m={m},n={n}]", prod, ref))
+            del batch, prod  # one cell's batch at a time: free it before the next is drawn
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,7 @@ def _orthogonality_group(seed: int, scale: float) -> list[EstimatorReport]:
     # u v has even part, so the diagonal references n! <u,v>^n are nonzero
     u = MarkFunction(lambda xs: 0.4 * xs[:, 0] + 0.3 * xs[:, 0] ** 2, sup_bound=0.7, label="0.4x+0.3x^2")
     v = MarkFunction(lambda xs: 0.6 * xs[:, 0] ** 2, sup_bound=0.6, label="0.6x^2")
-    return [
-        orthogonality_mc(model, u, v, m, k, n, seed=seed + 40 + 3 * m + k)
-        for m in (1, 2, 3)
-        for k in (1, 2, 3)
-    ]
+    return orthogonality_mc(model, u, v, (1, 2, 3), n, seed + 40)
 
 
 def _second_quantization_group(seed: int, scale: float) -> list[EstimatorReport]:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +28,7 @@ from lentparticle.chaos import (
 )
 from lentparticle.chaos import _leave_one_out_integrals, _lend_integrals
 from lentparticle.configuration import Configuration, remove_index, sample_batch, sample_configuration
-from lentparticle.diagnostics import EstimatorReport
+from lentparticle.diagnostics import EstimatorReport, _mean_report
 from lentparticle.functionals import finite_difference_add_derivative, stack_functionals
 from lentparticle.intensities import uniform_model
 from lentparticle.lent_particle import carre_du_champ, diag_squares_gamma
@@ -249,23 +250,21 @@ class TestMultipleIntegral:
 class TestExpSeries:
     def test_zero_kernel(self):
         zero = MarkFunction(lambda xs: np.zeros(len(xs)), sup_bound=0.0)
-        res = exp_series_check(EX1, SYM, zero, t=0.3, n_max=6)
-        assert res.residual == 0.0
+        assert exp_series_check(EX1, SYM, zero, t=0.3, n_max=6) == 0.0
 
     def test_empty_configuration_scalar_taylor(self):
         u = MarkFunction(lambda xs: 0.5 * np.ones(len(xs)), sup_bound=0.5)
         res = exp_series_check(EMPTY, SYM, u, t=0.4, n_max=10)
         nu_u = SYM.nu_integrate(u)
         tail = abs(math.exp(-0.4 * nu_u) - sum((-0.4 * nu_u) ** n / math.factorial(n) for n in range(11)))
-        assert res.residual == pytest.approx(tail, abs=1e-15)
+        assert res == pytest.approx(tail, abs=1e-15)
 
     def test_random_configurations_within_tail(self):
         u = MarkFunction(lambda xs: 0.3 * xs[:, 0], sup_bound=0.3)
         model = uniform_model(1.0, rate=10.0, low=-1.0, high=1.0)
         for seed in range(30):
             cfg = sample_configuration(model, seed)
-            res = exp_series_check(cfg, model, u, t=0.2, n_max=12)
-            assert res.residual <= 1e-8
+            assert exp_series_check(cfg, model, u, t=0.2, n_max=12) <= 1e-8
 
     def test_radius_guard(self):
         with pytest.raises(ChaosError):
@@ -465,12 +464,30 @@ class TestOrthogonality:
         u = MarkFunction(lambda xs: 0.4 * xs[:, 0] + 0.3 * xs[:, 0] ** 2, sup_bound=0.7)
         v = MarkFunction(lambda xs: 0.6 * xs[:, 0] ** 2, sup_bound=0.6)
         model = uniform_model(1.0, rate=5.0, low=-1.0, high=1.0)
-        r11 = orthogonality_mc(model, u, v, 1, 1, 200_000, seed=2)
+        r11, r12, _, r22 = orthogonality_mc(model, u, v, (1, 2), 200_000, seed=0)
         assert r11.passed and abs(r11.reference) > 0.05
-        r12 = orthogonality_mc(model, u, v, 1, 2, 200_000, seed=3)
         assert r12.passed and r12.reference == 0.0
-        r22 = orthogonality_mc(model, u, v, 2, 2, 200_000, seed=4)
         assert r22.passed and r22.reference == pytest.approx(2.0 * (0.18) ** 2, rel=1e-9)
+
+    def test_grid_equals_its_cells_drawn_one_by_one(self):
+        # the oracle: each cell its own batch from seed + 3m + n and its own integrals of nu(u), nu(v), nu(uv)
+        model = uniform_model(1.0, rate=5.0, low=-1.0, high=1.0)
+        u, v = U_ID, V_SQ
+        cells = []
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                batch = sample_batch(model, 3000, 11 + 3 * m + n)
+                prod = (multiple_integral_batch(batch, u, model.nu_integrate(u), m)
+                        * multiple_integral_batch(batch, v, model.nu_integrate(v), n))
+                inner = model.nu_integrate(lambda xs: u(xs) * v(xs))
+                ref = math.factorial(n) * inner**n if m == n else 0.0
+                cells.append(_mean_report(f"orthogonality[m={m},n={n}]", prod, ref))
+        grid = orthogonality_mc(model, u, v, (1, 2, 3), 3000, 11)
+        assert json.dumps([r.to_dict() for r in grid]) == json.dumps([r.to_dict() for r in cells])
+
+    def test_degree_cap(self):
+        with pytest.raises(ChaosError):
+            orthogonality_mc(SYM, U_ID, V_SQ, (1, MAX_DEGREE + 1), 100, 0)
 
 
 class TestSemigroup:

@@ -479,6 +479,31 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_chaos_meets_the_batch_cap_before_any_loop(self, tmp_path, capsys, monkeypatch):
+        # the orthogonality grid runs first, so its 6e7-atom batch exits 2 before a series check runs
+        calls, series = [], cli.exp_series_check
+        monkeypatch.setattr(cli, "exp_series_check", lambda *a, **k: calls.append(a) or series(*a, **k))
+        path = tmp_path / "dense.cfg"
+        path.write_text(
+            "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 200\n\n"
+            "[experiment]\nkind = chaos\nnconfigs = 3\nngamma = 0\nnsamples = 300000\n"
+        )
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid value (ConfigurationError): rate * horizon = 200 over nsamples = 3e+05 expects 6e+07 atoms, "
+            "above the cap of 50,000,000 atoms per batch\n"
+        )
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_rajchman_on_a_model_that_is_not_dyadic_exits_2(self, tmp_path, capsys):
+        # the moduli are read off the [model]'s own atoms, so no other family is swapped for a dyadic one
+        path = tmp_path / "raj.cfg"
+        path.write_text("[model]\nfamily = uniform\nhorizon = 1.0\nrate = 2\n\n[experiment]\nkind = rajchman\n")
+        assert main(["--out-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error at line 1, column 1: kind=rajchman needs [model] family = dyadic, got 'uniform'\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     def test_gauss_scale_whose_box_overflows_exits_2_with_one_line(self, tmp_path, capsys):
         # the sampler's overflow warning once came before the line
         path = tmp_path / "wide.cfg"
@@ -899,7 +924,7 @@ def _sweep_cases():
             yield "gamma", label, key, _sweep_sections(family="curve" if label == "curve" else "uniform", gamma=label)
     for kind, entry in EXPERIMENTS.items():
         for key in _declared_keys(entry["params"]):
-            yield "experiment", kind, key, _sweep_sections(kind=kind)
+            yield "experiment", kind, key, _sweep_sections(family="dyadic" if kind == "rajchman" else "uniform", kind=kind)
 
 
 SWEEP_CASES = list(_sweep_cases())
@@ -940,6 +965,29 @@ def test_identity_scale_cap_fills_the_suites_largest_batch_to_the_budget(monkeyp
     with pytest.raises(StopIteration):
         suite._orthogonality_group(0, EXPERIMENTS["identity"]["high"]["scale"])
     assert expected == [configuration._BATCH_ATOMS_MAX]
+
+
+def test_callers_draw_the_cell_streams(monkeypatch, tmp_path):
+    # the grid's cells, m-major: the suite's from seed + 40 + 3m + n and the chaos kind's from seed + 5000 + 3m + n
+    drawn = []
+
+    def recording(model, nsamples, seed, *path):
+        drawn.append((seed, *path))
+        return configuration.sample_batch(model, nsamples, seed, *path)
+
+    monkeypatch.setattr(chaos, "sample_batch", recording)
+    for s in (0, 3):
+        drawn.clear()
+        suite._orthogonality_group(s, 0)
+        assert drawn == [(s + 40 + 3 * m + n,) for m in (1, 2, 3) for n in (1, 2, 3)]
+    path = tmp_path / "chaos.cfg"
+    path.write_text(
+        "[model]\nfamily = uniform\nhorizon = 1.0\nrate = 5.0\n\n"
+        "[experiment]\nkind = chaos\nseed = 7\nnconfigs = 1\nngamma = 1\nnsamples = 200\n"
+    )
+    drawn.clear()
+    assert main(["--out-dir", str(tmp_path), "run", str(path)]) in (0, 1)
+    assert drawn == [(7 + 5000 + 3 * m + n,) for m in (1, 2) for n in (1, 2)]
 
 
 def test_sweep_gamma_cases_run_on_configurations_with_atoms():
